@@ -105,11 +105,13 @@ struct IncCascadeRun {
 
 // Fresh columnar numbers for the gates below: the equality-index build on
 // TPC-H SF 1 (the exact loop micro_core records as
-// index_build_columnar_seconds) and the interning pool's arena footprint
-// after generation (deterministic for the fixed generator seed).
+// index_build_columnar_seconds), the interning pool's arena footprint
+// after generation, and the strings the engine's scored-column ProfileStore
+// profiles (both deterministic for the fixed generator seed).
 struct ColumnarFresh {
   double index_build_seconds = 0;
   double arena_bytes = 0;
+  double profiled_strings = 0;
 };
 
 ColumnarFresh MeasureColumnarFresh() {
@@ -119,6 +121,9 @@ ColumnarFresh MeasureColumnarFresh() {
   auto gd = MakeTpch(options);
   const Dataset& d = gd->dataset;
   out.arena_bytes = static_cast<double>(d.pool().arena_bytes());
+  if (auto store = ChaseEngine::ScoredProfiles(d, gd->rules, gd->registry)) {
+    out.profiled_strings = static_cast<double>(store->size());
+  }
   const Relation* orders = nullptr;
   for (size_t r = 0; r < d.num_relations(); ++r) {
     if (d.relation(r).schema().name() == "Orders") orders = &d.relation(r);
@@ -502,6 +507,7 @@ int Run(int argc, char** argv) {
   double baseline_inc_ratio = -1;
   double baseline_index_build = -1;
   double baseline_arena_bytes = -1;
+  double baseline_profiled = -1;
   double baseline_query_p99 = -1;
   double baseline_lag = -1;
   double baseline_tj_batch = -1;
@@ -532,6 +538,7 @@ int Run(int argc, char** argv) {
     baseline_inc_ratio = JsonNumber(text, "inc_delta_scaling_ratio");
     baseline_index_build = JsonNumber(text, "index_build_columnar_seconds");
     baseline_arena_bytes = JsonNumber(text, "intern_arena_bytes");
+    baseline_profiled = JsonNumber(text, "profiled_strings");
     baseline_query_p99 = JsonNumber(text, "served_query_p99");
     baseline_lag = JsonNumber(text, "update_visibility_lag");
     baseline_tj_batch = JsonNumber(text, "token_jaccard_batch_ns");
@@ -756,7 +763,8 @@ int Run(int argc, char** argv) {
   // The interning arena footprint is deterministic for the fixed generator
   // seed, so growth over tolerance is a real change — a dedup slip, arena
   // bloat, or a generator regression — and gets no noise normalization.
-  if (baseline_index_build > 0 || baseline_arena_bytes > 0) {
+  if (baseline_index_build > 0 || baseline_arena_bytes > 0 ||
+      baseline_profiled > 0) {
     ColumnarFresh columnar = MeasureColumnarFresh();
     if (!check_phase("columnar index build (tpch SF1)",
                      columnar.index_build_seconds, baseline_index_build)) {
@@ -775,6 +783,18 @@ int Run(int argc, char** argv) {
       }
     } else {
       std::printf("intern arena bytes: no baseline; skipping (PASS)\n");
+    }
+    if (baseline_profiled > 0) {
+      const double ratio = columnar.profiled_strings / baseline_profiled;
+      std::printf("profiled strings: fresh=%.0f baseline=%.0f ratio=%.3f\n",
+                  columnar.profiled_strings, baseline_profiled, ratio);
+      if (ratio > 1.0 + tolerance) {
+        std::printf("FAIL: profile coverage regressed %.1f%% over baseline\n",
+                    (ratio - 1.0) * 100);
+        return 1;
+      }
+    } else {
+      std::printf("profiled strings: no baseline; skipping (PASS)\n");
     }
   } else {
     std::printf("columnar: no baseline; skipping (PASS)\n");

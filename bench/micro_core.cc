@@ -1103,6 +1103,7 @@ struct ColumnarNumbers {
   uint64_t intern_arena_bytes = 0;
   uint64_t intern_requested_bytes = 0;
   double intern_footprint_ratio = 0;  // arena / requested (dedup win)
+  uint64_t profiled_strings = 0;  // the engine's scored-column ProfileStore
 };
 
 ColumnarNumbers MeasureColumnar() {
@@ -1131,6 +1132,11 @@ ColumnarNumbers MeasureColumnar() {
       pool.requested_bytes() > 0
           ? static_cast<double>(pool.arena_bytes()) / pool.requested_bytes()
           : 0.0;
+  // The strings a TPCH-lite engine profiles: only the cells its
+  // profile-backed ML predicates score, not the whole pool.
+  if (auto store = ChaseEngine::ScoredProfiles(d, gd->rules, gd->registry)) {
+    out.profiled_strings = store->size();
+  }
 
   const Relation* orders = nullptr;
   const Relation* customer = nullptr;
@@ -1594,6 +1600,7 @@ void WriteBenchCoreJson() {
   w.KV("intern_arena_bytes", columnar.intern_arena_bytes);
   w.KV("intern_requested_bytes", columnar.intern_requested_bytes);
   w.KV("intern_footprint_ratio", columnar.intern_footprint_ratio);
+  w.KV("profiled_strings", columnar.profiled_strings);
   w.EndObject();
 
   FILE* f = std::fopen("BENCH_core.json", "w");
@@ -1690,12 +1697,13 @@ void WriteBenchCoreJson() {
               columnar.index_entries_equal, columnar.kernel_view_ns,
               columnar.kernel_copy_ns);
   std::printf("interning: hit_rate=%.3f strings=%llu arena=%llu B "
-              "requested=%llu B footprint_ratio=%.3f\n",
+              "requested=%llu B footprint_ratio=%.3f profiled=%llu\n",
               columnar.intern_hit_rate,
               static_cast<unsigned long long>(columnar.intern_strings),
               static_cast<unsigned long long>(columnar.intern_arena_bytes),
               static_cast<unsigned long long>(columnar.intern_requested_bytes),
-              columnar.intern_footprint_ratio);
+              columnar.intern_footprint_ratio,
+              static_cast<unsigned long long>(columnar.profiled_strings));
 }
 
 }  // namespace

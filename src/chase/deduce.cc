@@ -69,17 +69,6 @@ ChaseEngine::ChaseEngine(
     ml_policy_.derivable = std::make_shared<const std::unordered_set<uint64_t>>(
         DerivableMlKeys(*rules_));
   }
-  // Profiles pay off only when some rule actually scores strings; gating on
-  // that keeps ML-free workloads free of the build cost.
-  bool want_profiles = false;
-  if (options_.ml_profiles) {
-    for (size_t i = 0; i < rules_->size(); ++i) {
-      if (rules_->rule(i).HasMlPredicate()) {
-        want_profiles = true;
-        break;
-      }
-    }
-  }
   scopes_.resize(rules_->size());
   if (rule_views == nullptr) {
     // Sequential form: one scope per rule over the full view; MQO shares a
@@ -100,13 +89,7 @@ ChaseEngine::ChaseEngine(
       scope.joiner->ConfigureMlIndex(ml_policy_);
       scopes_[i].push_back(std::move(scope));
     }
-    if (want_profiles) {
-      // One store per engine: profiles depend only on the dataset's pool,
-      // so noMQO's per-rule indices alias it instead of rebuilding it.
-      auto store = std::make_shared<ProfileStore>(&view_->dataset().pool());
-      if (shared_index_ != nullptr) shared_index_->AttachProfiles(store);
-      for (auto& index : owned_indices_) index->AttachProfiles(store);
-    }
+    AttachProfileStore();
     return;
   }
   // Parallel form: one scope per (rule, assigned block). MQO shares an
@@ -119,8 +102,8 @@ ChaseEngine::ChaseEngine(
       uint32_t scope_idx = static_cast<uint32_t>(scopes_[i].size());
       for (size_t rel = 0; rel < block.num_relations(); ++rel) {
         for (uint32_t row : block.rows(rel)) {
-          scopes_of_gid_[i][view_->dataset().relation(rel).gid(row)]
-              .push_back(scope_idx);
+          scopes_of_gid_[i].emplace_back(
+              view_->dataset().relation(rel).gid(row), scope_idx);
         }
       }
       DatasetIndex* index = nullptr;
@@ -144,11 +127,58 @@ ChaseEngine::ChaseEngine(
       scope.joiner->ConfigureMlIndex(ml_policy_);
       scopes_[i].push_back(std::move(scope));
     }
+    std::sort(scopes_of_gid_[i].begin(), scopes_of_gid_[i].end());
   }
-  if (want_profiles) {
-    auto store = std::make_shared<ProfileStore>(&view_->dataset().pool());
-    for (auto& index : owned_indices_) index->AttachProfiles(store);
+  AttachProfileStore();
+}
+
+void ChaseEngine::AttachProfileStore() {
+  if (!options_.ml_profiles) return;
+  // One store per engine, or the caller's shared one: profiles depend only
+  // on the dataset and the rules, so every index of the engine (noMQO's
+  // per-rule ones, the parallel form's per-block ones) aliases it.
+  std::shared_ptr<ProfileStore> store = options_.profiles;
+  if (store == nullptr) {
+    store = ScoredProfiles(view_->dataset(), *rules_, *registry_);
   }
+  if (store == nullptr) return;
+  if (shared_index_ != nullptr) shared_index_->AttachProfiles(store);
+  for (auto& index : owned_indices_) index->AttachProfiles(store);
+}
+
+std::shared_ptr<ProfileStore> ChaseEngine::ScoredProfiles(
+    const Dataset& dataset, const RuleSet& rules,
+    const MlRegistry& registry) {
+  std::vector<ProfileStore::ColumnRef> columns;
+  auto add_side = [&](int rel, const std::vector<int>& attrs) {
+    if (attrs.size() != 1) return;  // concatenated text: never profiled
+    const ProfileStore::ColumnRef col{static_cast<uint32_t>(rel),
+                                      static_cast<uint32_t>(attrs[0])};
+    if (dataset.relation(col.relation).column(col.attr).type() !=
+        ValueType::kString) {
+      return;
+    }
+    for (const ProfileStore::ColumnRef& c : columns) {
+      if (c.relation == col.relation && c.attr == col.attr) return;
+    }
+    columns.push_back(col);
+  };
+  for (const Rule& rule : rules.rules()) {
+    for (const Predicate& p : rule.preconditions()) {
+      if (p.kind != PredicateKind::kMl ||
+          registry.classifier(p.ml_id).batch_kernel() ==
+              MlBatchKernel::kNone) {
+        continue;
+      }
+      add_side(rule.var_relation(p.lhs.var), p.lhs_ml_attrs);
+      add_side(rule.var_relation(p.rhs.var), p.rhs_ml_attrs);
+    }
+  }
+  if (columns.empty()) return nullptr;
+  DCER_TRACE("profiles.sync");
+  auto store = std::make_shared<ProfileStore>(&dataset, std::move(columns));
+  store->Sync();
+  return store;
 }
 
 std::vector<Gid> ChaseEngine::GidsOf(size_t rule_idx,
@@ -503,9 +533,12 @@ void ChaseEngine::BuildIncRoundTasks() {
       if (!scopes_of_gid_.empty()) {
         // Only blocks hosting item.a can host a seeded valuation; b must be
         // co-located there too (checked inside via RowOf).
-        auto it = scopes_of_gid_[ri].find(item.a);
-        if (it == scopes_of_gid_[ri].end()) continue;
-        for (uint32_t s : it->second) consider(s);
+        const auto& hosts = scopes_of_gid_[ri];
+        for (auto it = std::lower_bound(hosts.begin(), hosts.end(),
+                                        std::make_pair(item.a, uint32_t{0}));
+             it != hosts.end() && it->first == item.a; ++it) {
+          consider(it->second);
+        }
       } else {
         for (uint32_t s = 0; s < scopes_[ri].size(); ++s) consider(s);
       }

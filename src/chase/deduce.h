@@ -54,6 +54,10 @@ class ChaseEngine {
     /// Precomputed string profiles + batch similarity kernels
     /// (EngineOptions::ml_profiles). Bit-identical results either way.
     bool ml_profiles = true;
+    /// With ml_profiles: a synced ScoredProfiles store over the same dataset
+    /// and rules, shared read-only instead of building one per engine.
+    /// engine::DMatch builds one per run and hands it to every worker.
+    std::shared_ptr<ProfileStore> profiles;
     /// Batched semi-naive IncDeduce (see EngineOptions::inc_parallel): each
     /// round's re-joins are recorded against a frozen snapshot and merged in
     /// (rule, scope, item-order); rounds with at least
@@ -70,6 +74,15 @@ class ChaseEngine {
   /// 2 × threads enumeration shards, oversplit so stealing can rebalance
   /// skewed shards) only when eo.threads > 1.
   static Options FromEngineOptions(const EngineOptions& eo, ThreadPool* pool);
+
+  /// The synced scored-column ProfileStore of `rules` over `dataset`: it
+  /// covers the single-string sides of every ML precondition whose
+  /// classifier has a profile-backed batch kernel — the only cells a
+  /// profiled path (batch predictions, candidate indices) reads. nullptr
+  /// when no rule scores strings that way.
+  static std::shared_ptr<ProfileStore> ScoredProfiles(
+      const Dataset& dataset, const RuleSet& rules,
+      const MlRegistry& registry);
 
   /// Evaluates every rule over `view`. Sequential Match uses this with the
   /// full-dataset view.
@@ -164,6 +177,10 @@ class ChaseEngine {
   std::vector<Gid> GidsOf(size_t rule_idx,
                           const std::vector<uint32_t>& rows) const;
 
+  // Attaches the profile store (Options::profiles, or a ScoredProfiles one
+  // built here) to every index, when ml_profiles is on.
+  void AttachProfileStore();
+
   // One seeded re-join of the semi-naive pass: rule `rule` in scope `scope`
   // with variables lvar/rvar pre-bound to rows lrow/rrow of the scope's
   // block. Built per round in (item, rule, scope, predicate, orientation)
@@ -206,10 +223,10 @@ class ChaseEngine {
   std::unique_ptr<DatasetIndex> shared_index_;
   std::vector<std::unique_ptr<DatasetIndex>> owned_indices_;
   std::vector<std::vector<Scope>> scopes_;  // [rule][block]
-  // Per rule: gid -> indices of the scopes hosting it. Lets the
+  // Per rule: sorted (gid, index of a scope hosting it) pairs. Lets the
   // update-driven pass touch only the blocks that can host a seeded
   // valuation instead of scanning every (rule, block) pair per work item.
-  std::vector<std::unordered_map<Gid, std::vector<uint32_t>>> scopes_of_gid_;
+  std::vector<std::vector<std::pair<Gid, uint32_t>>> scopes_of_gid_;
 
   // Semi-naive frontier state, reused across rounds and IncDeduce calls
   // (chunked stores and hash tables keep their storage through Clear).

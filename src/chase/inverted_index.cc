@@ -82,23 +82,14 @@ const DatasetIndex::AttrIndex& DatasetIndex::GetOrBuild(size_t rel,
   return *pos->second;
 }
 
-void DatasetIndex::EnsureProfiles() {
-  if (profile_store_ == nullptr) {
-    profile_store_ =
-        std::make_shared<ProfileStore>(&view_->dataset().pool());
-  }
-  profile_store_->Sync();
-}
-
 void DatasetIndex::AttachProfiles(std::shared_ptr<ProfileStore> store) {
   profile_store_ = std::move(store);
   if (profile_store_ != nullptr) profile_store_->Sync();
 }
 
 void DatasetIndex::NotifyAppend(size_t rel, uint32_t row) {
-  // Profiles first: the appended row's cells may reference pool strings
-  // interned after the last Sync, and profiled ML indices read the profile
-  // arena inside Add.
+  // Profiles first: the appended row's cells may reference strings not
+  // profiled yet, and profiled ML indices read the profile arena inside Add.
   if (profile_store_ != nullptr) profile_store_->Sync();
   const Relation& relation = view_->dataset().relation(rel);
   for (auto& [key, index] : indices_) {
@@ -138,7 +129,7 @@ const MlCandidateIndex* DatasetIndex::GetOrBuildMl(
   ProfileSource source;
   if (profile_store_ != nullptr && attrs.size() == 1 &&
       relation.column(attrs[0]).type() == ValueType::kString) {
-    profile_store_->Sync();  // cover strings interned since the last sync
+    profile_store_->Sync();  // cover rows appended since the last sync
     const Column* col = &relation.column(attrs[0]);
     source.store = profile_store_.get();
     source.intern_of = [col](uint32_t row) {

@@ -63,19 +63,15 @@ class DatasetIndex {
   /// any ML index Add so profiled indices can read the new row's profile.
   void NotifyAppend(size_t rel, uint32_t row);
 
-  /// Opts this index into the vectorized similarity engine: builds (or
-  /// syncs) a ProfileStore shadowing the dataset's string pool. Idempotent;
-  /// exclusive phases only (same contract as EnsureBuilt). Until called,
+  /// Opts this index into the vectorized similarity engine with `store`
+  /// (every index of an engine, and every engine of one DMatch run, aliases
+  /// one store — see ChaseEngine::ScoredProfiles). Syncs it. Until called,
   /// profiles() is nullptr and every ML path stays on the text kernels.
-  void EnsureProfiles();
-
-  /// Shares an existing store instead of building one (profiles are a
-  /// function of the dataset's pool alone, so every block index of one
-  /// engine can alias a single store). Syncs it.
   void AttachProfiles(std::shared_ptr<ProfileStore> store);
 
-  /// The dataset-wide profile store, or nullptr when disabled — the single
-  /// gate every profiled fast path checks.
+  /// The attached profile store, or nullptr when disabled — the single gate
+  /// every profiled fast path checks (per string: Find may still be nullptr
+  /// for ids the store does not cover).
   const ProfileStore* profiles() const { return profile_store_.get(); }
 
   /// Candidate index over one side of an ML predicate: all rows of `rel` in
@@ -127,8 +123,8 @@ class DatasetIndex {
 
   const DatasetView* view_;
   // Precomputed string profiles (token ids, gram sketches, lengths) shared
-  // by every profiled ML index and the join's batch evaluator; possibly
-  // aliased by sibling block indices of the same engine (AttachProfiles).
+  // by every profiled ML index and the join's batch evaluator; aliased by
+  // sibling indices and engines (AttachProfiles).
   std::shared_ptr<ProfileStore> profile_store_;
   // (rel, attr) -> index; keyed densely: rel * max_attrs + attr is avoided in
   // favor of a map keyed by pair packed into uint64.

@@ -1,5 +1,6 @@
 #include "chase/view.h"
 
+#include <algorithm>
 #include <numeric>
 
 namespace dcer {
@@ -19,14 +20,24 @@ size_t DatasetView::num_tuples() const {
   return total;
 }
 
-void DatasetView::BuildGidMap() {
-  hosted_.clear();
-  for (size_t rel = 0; rel < rows_.size(); ++rel) {
-    const Relation& relation = dataset_->relation(rel);
-    for (uint32_t row : rows_[rel]) {
-      hosted_.emplace(relation.gid(row), row);
-    }
-  }
+uint32_t DatasetView::RowOf(Gid gid) const {
+  if (gid >= dataset_->num_tuples()) return kInvalidGid;
+  const TupleLoc loc = dataset_->loc(gid);
+  if (loc.relation >= rows_.size()) return kInvalidGid;
+  const std::vector<uint32_t>& rows = rows_[loc.relation];
+  // Sorted unique rows have rows[i] >= i, equal iff rows 0..i are all
+  // present: a relation the view covers in full answers without a search.
+  if (loc.row < rows.size() && rows[loc.row] == loc.row) return loc.row;
+  return std::binary_search(rows.begin(), rows.end(), loc.row) ? loc.row
+                                                               : kInvalidGid;
+}
+
+void DatasetView::Append(Gid gid) {
+  const TupleLoc loc = dataset_->loc(gid);
+  if (loc.relation >= rows_.size()) rows_.resize(loc.relation + 1);
+  std::vector<uint32_t>& rows = rows_[loc.relation];
+  auto it = std::lower_bound(rows.begin(), rows.end(), loc.row);
+  if (it == rows.end() || *it != loc.row) rows.insert(it, loc.row);
 }
 
 }  // namespace dcer

@@ -7,6 +7,7 @@
 #include "common/string_util.h"
 #include "ml/similarity.h"
 #include "ml/simd.h"
+#include "obs/metrics.h"
 
 namespace dcer {
 
@@ -87,17 +88,53 @@ uint64_t SimhashOfGrams(const uint64_t* hashes, const uint32_t* counts,
 ProfileStore::ProfileStore(const StringPool* pool, size_t q)
     : pool_(pool), q_(q) {}
 
+ProfileStore::ProfileStore(const Dataset* dataset,
+                           std::vector<ColumnRef> columns, size_t q)
+    : pool_(&dataset->pool()),
+      q_(q),
+      dataset_(dataset),
+      columns_(std::move(columns)),
+      rows_synced_(columns_.size(), 0) {}
+
 void ProfileStore::Sync() {
-  const size_t begin = built_.load(std::memory_order_relaxed);
-  const size_t end = pool_->size();
-  if (begin >= end) return;
-  profiles_.reserve(end);
+  // Pool ids to profile now, in profiling order. Nothing is written until
+  // something new is known to be covered.
+  std::vector<uint32_t> fresh;
+  if (dataset_ == nullptr) {
+    const size_t end = pool_->size();
+    if (slot_.size() >= end) return;
+    for (size_t id = slot_.size(); id < end; ++id) {
+      slot_.push_back(static_cast<uint32_t>(id));
+      fresh.push_back(static_cast<uint32_t>(id));
+    }
+  } else {
+    bool grown = false;
+    for (size_t c = 0; c < columns_.size(); ++c) {
+      grown |= dataset_->relation(columns_[c].relation).num_rows() >
+               rows_synced_[c];
+    }
+    if (!grown) return;
+    slot_.resize(pool_->size(), kNpos);
+    for (size_t c = 0; c < columns_.size(); ++c) {
+      const Relation& rel = dataset_->relation(columns_[c].relation);
+      const Column& col = rel.column(columns_[c].attr);
+      for (size_t row = rows_synced_[c]; row < rel.num_rows(); ++row) {
+        if (col.is_null(row)) continue;
+        const uint32_t id = col.str_id(row);
+        if (slot_[id] != kNpos) continue;
+        slot_[id] = static_cast<uint32_t>(profiles_.size() + fresh.size());
+        fresh.push_back(id);
+      }
+      rows_synced_[c] = rel.num_rows();
+    }
+  }
+  profiles_.reserve(profiles_.size() + fresh.size());
   std::vector<uint32_t> tok_ids;
   std::vector<uint64_t> grams;
   std::string lower;
   std::vector<std::string_view> toks;
-  for (size_t id = begin; id < end; ++id) {
-    const std::string_view text = pool_->view(static_cast<uint32_t>(id));
+  for (const uint32_t id : fresh) {
+    const std::string_view text = pool_->view(id);
     Profile p;
     p.byte_len = static_cast<uint32_t>(text.size());
 
@@ -140,7 +177,11 @@ void ProfileStore::Sync() {
                                p.gram_count);
     profiles_.push_back(p);
   }
-  built_.store(end, std::memory_order_release);
+  if (obs::MetricsEnabled()) {
+    obs::MetricsRegistry::Global()
+        .GetCounter("ml.profiled_strings")
+        ->Add(fresh.size());
+  }
 }
 
 size_t ProfileStore::ByteSize() const {
@@ -148,7 +189,7 @@ size_t ProfileStore::ByteSize() const {
          token_arena_.capacity() * sizeof(uint32_t) +
          gram_hash_arena_.capacity() * sizeof(uint64_t) +
          gram_count_arena_.capacity() * sizeof(uint32_t) +
-         token_dict_.ByteSize();
+         slot_.capacity() * sizeof(uint32_t) + token_dict_.ByteSize();
 }
 
 // --- Batch kernels ----------------------------------------------------------
@@ -164,7 +205,7 @@ struct ProbeTokens {
 ProbeTokens TokensOf(const ProfileStore& store, uint32_t id) {
   if (id == ProfileStore::kNpos) return {};
   const ProfileStore::Profile* p = store.Find(id);
-  if (p == nullptr) return {};  // callers sync before batching
+  if (p == nullptr) return {};  // callers pass profiled ids only
   return {store.tokens(*p), p->tok_count};
 }
 

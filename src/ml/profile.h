@@ -1,20 +1,20 @@
 #ifndef DCER_ML_PROFILE_H_
 #define DCER_ML_PROFILE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string_view>
 #include <vector>
 
+#include "relational/dataset.h"
 #include "relational/string_pool.h"
 
 namespace dcer {
 
 /// Precomputed similarity profiles of a Dataset's interned strings — the
 /// vectorized similarity engine's data plane. One ProfileStore shadows one
-/// StringPool: profile i describes pool string i, so any columnar cell
-/// (Column::str_id) or interned Value addresses its profile in O(1) with no
-/// hashing. Per string the store holds, in append-only arenas:
+/// StringPool: any columnar cell (Column::str_id) or interned Value
+/// addresses its profile by pool id in O(1) with no hashing. Per string the
+/// store holds, in append-only arenas:
 ///
 ///   - the sorted unique token-id set (token-dictionary ids, see below) —
 ///     TokenJaccard over two profiles is one sorted-uint32 intersection
@@ -28,17 +28,24 @@ namespace dcer {
 ///     LSH-style candidate generation (exercised by tests; kept per string
 ///     so future banding indices need no re-embedding pass).
 ///
+/// Two coverages. A whole-pool store profiles every pool string. A
+/// scored-column store profiles only the strings referenced by a given set
+/// of string columns — the ones profile-backed ML predicates read (see
+/// ChaseEngine::ScoredProfiles); Find returns nullptr for every other id,
+/// and the profiled paths fall back to the text kernels there.
+///
 /// Token ids come from a private interning dictionary (its own StringPool)
 /// shared by every profile in the store; equal tokens anywhere in the
-/// dataset get equal ids, so two profiles' token sets intersect by id.
-/// Ids are assigned in first-seen order while scanning pool ids upward,
-/// which makes an incrementally grown store (Sync after appends) arena-
-/// identical to one built from scratch over the final pool.
+/// covered strings get equal ids, so two profiles' token sets intersect by
+/// id. Ids are assigned in first-seen order while profiling, which makes an
+/// incrementally grown whole-pool store (Sync after appends) arena-identical
+/// to one built from scratch over the final pool.
 ///
-/// Concurrency contract (same as DatasetIndex): Sync() mutates and runs only
-/// in exclusive phases — index prewarm, NotifyAppend between supersteps.
-/// Find()/tokens()/gram_*() are read-only and safe from concurrent
-/// enumeration shards once synced.
+/// Concurrency contract (same as DatasetIndex): Sync() mutates only when
+/// something new is covered, and such Syncs run only in exclusive phases —
+/// index prewarm, NotifyAppend between supersteps. A Sync with nothing new
+/// is a read-only no-op, so engines sharing one synced store may call it
+/// concurrently. Find()/tokens()/gram_*() are read-only.
 class ProfileStore {
  public:
   /// Sentinel intern id: "no string here" (NULL cell). Equals
@@ -55,23 +62,37 @@ class ProfileStore {
     uint64_t simhash;     // 64-bit SimHash over the gram sketch
   };
 
+  /// A string column (relation, attribute) of the dataset.
+  struct ColumnRef {
+    uint32_t relation;
+    uint32_t attr;
+  };
+
+  /// Whole-pool store over `pool`.
   explicit ProfileStore(const StringPool* pool, size_t q = 2);
+
+  /// Scored-column store: covers the strings the cells of `columns` (string
+  /// columns of `dataset`) reference, including rows appended later.
+  ProfileStore(const Dataset* dataset, std::vector<ColumnRef> columns,
+               size_t q = 2);
 
   ProfileStore(const ProfileStore&) = delete;
   ProfileStore& operator=(const ProfileStore&) = delete;
 
-  /// Profiles every pool string in [size(), pool->size()). Idempotent;
-  /// incremental growth is arena-identical to a from-scratch build.
+  /// Profiles every covered string not profiled yet: pool strings interned
+  /// since the last Sync (whole pool), or the cells of rows appended to the
+  /// scored columns since the last Sync — also when such a cell reuses a
+  /// string first interned by an unscored column. Idempotent.
   void Sync();
 
-  /// Number of pool ids profiled so far.
-  size_t size() const { return built_.load(std::memory_order_acquire); }
+  /// Number of strings profiled so far.
+  size_t size() const { return profiles_.size(); }
 
-  /// Profile of pool string `id`; nullptr when `id` is kNpos or not yet
-  /// synced. Lock-free.
+  /// Profile of pool string `id`; nullptr when `id` is kNpos, not covered,
+  /// or not yet synced. Lock-free.
   const Profile* Find(uint32_t id) const {
-    if (id >= built_.load(std::memory_order_acquire)) return nullptr;
-    return &profiles_[id];
+    if (id >= slot_.size() || slot_[id] == kNpos) return nullptr;
+    return &profiles_[slot_[id]];
   }
 
   /// The profiled string's bytes (the pool's arena view).
@@ -105,19 +126,24 @@ class ProfileStore {
  private:
   const StringPool* pool_;
   size_t q_;
+  // Scored-column coverage (dataset_ == nullptr: whole pool), with the
+  // number of rows of each column already scanned.
+  const Dataset* dataset_ = nullptr;
+  std::vector<ColumnRef> columns_;
+  std::vector<size_t> rows_synced_;
   StringPool token_dict_;  // token text -> dense token id
+  std::vector<uint32_t> slot_;  // pool id -> index into profiles_, or kNpos
   std::vector<Profile> profiles_;
   std::vector<uint32_t> token_arena_;
   std::vector<uint64_t> gram_hash_arena_;
   std::vector<uint32_t> gram_count_arena_;
-  std::atomic<size_t> built_{0};
 };
 
 /// --- One-vs-many batch kernels ---------------------------------------------
 ///
 /// Score one probe string against `n` candidate strings, all addressed by
 /// pool intern id (kNpos = empty text, the NULL-cell rendering of
-/// ConcatValueText). Every id must be covered by the store. Scores are
+/// ConcatValueText). Every id must be profiled by the store. Scores are
 /// bit-identical to the pairwise kernels in ml/similarity.h: the integer
 /// overlap counts are order-free and the final double arithmetic replays the
 /// scalar kernels' exact operation sequence.

@@ -54,6 +54,21 @@ double RunSuperstep(std::vector<std::unique_ptr<Worker>>& workers,
   return slowest;
 }
 
+// Destroys every worker — as pool tasks when run_parallel, so the workers'
+// indices, dependency stores and contexts are freed side by side instead of
+// one after another.
+void DestroyWorkers(std::vector<std::unique_ptr<Worker>>* workers,
+                    bool run_parallel, ThreadPool* pool) {
+  if (run_parallel) {
+    TaskGroup group(pool);
+    for (auto& w : *workers) {
+      group.Run([&w] { w.reset(); });
+    }
+    group.Wait();
+  }
+  workers->clear();
+}
+
 }  // namespace
 
 void DMatchReport::ExtraJson(JsonWriter* w) const {
@@ -65,6 +80,7 @@ void DMatchReport::ExtraJson(JsonWriter* w) const {
   w->KV("transport", transport);
   w->KV("partition_seconds", partition_seconds);
   w->KV("er_seconds", er_seconds);
+  w->KV("teardown_seconds", teardown_seconds);
   w->KV("simulated_seconds", simulated_seconds);
   w->KV("route_seconds", route_seconds);
   w->KV("route_simulated_seconds", route_simulated_seconds);
@@ -86,6 +102,7 @@ DMatchReport engine::DMatch(const Dataset& dataset, const RuleSet& rules,
                             MatchContext* result) {
   obs::InitFromEnv();
   DCER_TRACE("dmatch");
+  Timer total_timer;
   DMatchReport report;
   const bool observe = obs::MetricsEnabled();
   obs::MetricsSnapshot metrics_before;
@@ -111,6 +128,12 @@ DMatchReport engine::DMatch(const Dataset& dataset, const RuleSet& rules,
   Timer er_timer;
   ChaseEngine::Options engine_options =
       ChaseEngine::FromEngineOptions(options, &pool);
+  // One profile store for the whole run, synced here so that the workers'
+  // engines share it read-only instead of each profiling the pool.
+  if (engine_options.ml_profiles) {
+    engine_options.profiles =
+        ChaseEngine::ScoredProfiles(dataset, rules, registry);
+  }
 
   std::vector<std::unique_ptr<Worker>> workers;
   workers.reserve(options.num_workers);
@@ -126,8 +149,10 @@ DMatchReport engine::DMatch(const Dataset& dataset, const RuleSet& rules,
   master_options.spanning_pairs = options.spanning_pairs;
   master_options.pool = options.run_parallel ? &pool : nullptr;
   master_options.transport = transport.get();
-  Master master(&partition.hosts, options.num_workers, dataset.num_tuples(),
-                master_options);
+  auto master_owner = std::make_unique<Master>(
+      &partition.hosts, options.num_workers, dataset.num_tuples(),
+      master_options);
+  Master& master = *master_owner;
 
   // Runs one superstep and records its per-worker times and skew. The
   // messages/bytes the master routes afterwards are filled in by the
@@ -200,7 +225,6 @@ DMatchReport engine::DMatch(const Dataset& dataset, const RuleSet& rules,
   }
 
   report.er_seconds = er_timer.ElapsedSeconds();
-  report.seconds = report.partition_seconds + report.er_seconds;
   report.messages = master.messages_routed();
   report.bytes = master.bytes_routed();
   report.outbox_messages = master.outbox_messages();
@@ -210,6 +234,18 @@ DMatchReport engine::DMatch(const Dataset& dataset, const RuleSet& rules,
   report.transport = transport->kind() == TransportKind::kLoopbackTcp
                          ? "loopback_tcp"
                          : "in_process";
+
+  // Step 3: tear the BSP state down inside the timed call.
+  Timer teardown_timer;
+  {
+    DCER_TRACE("dmatch.teardown");
+    DestroyWorkers(&workers, options.run_parallel, &pool);
+    master_owner.reset();
+    transport.reset();
+    partition = Partition();
+    engine_options.profiles.reset();
+  }
+  report.teardown_seconds = teardown_timer.ElapsedSeconds();
   report.matched_pairs = result->num_matched_pairs();
   report.validated_ml = result->num_validated_ml();
   report.ml_predictions = registry.num_predictions() - preds_before;
@@ -239,6 +275,7 @@ DMatchReport engine::DMatch(const Dataset& dataset, const RuleSet& rules,
     }
     report.metrics = reg.Snapshot().Delta(metrics_before);
   }
+  report.seconds = total_timer.ElapsedSeconds();
   return report;
 }
 

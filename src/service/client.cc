@@ -6,8 +6,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <numeric>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -159,8 +161,22 @@ Status ResolverClient::CallKind(Request&& req, Response::Kind expected,
 Status ResolverClient::Append(
     const Dataset& schema_source,
     const std::vector<std::pair<uint32_t, Row>>& rows, Response* resp) {
-  return CallKind(MakeAppendRequest(schema_source, rows),
-                  Response::Kind::kAppended, resp);
+  Status st = CallKind(MakeAppendRequest(schema_source, rows),
+                       Response::Kind::kAppended, resp);
+  if (!st.ok() || resp->gids.size() != rows.size()) return st;
+  // The reply lists gids in wire order: rows stably grouped by relation.
+  std::vector<size_t> wire_order(rows.size());
+  std::iota(wire_order.begin(), wire_order.end(), size_t{0});
+  std::stable_sort(wire_order.begin(), wire_order.end(),
+                   [&rows](size_t a, size_t b) {
+                     return rows[a].first < rows[b].first;
+                   });
+  std::vector<Gid> by_row(rows.size());
+  for (size_t k = 0; k < wire_order.size(); ++k) {
+    by_row[wire_order[k]] = resp->gids[k];
+  }
+  resp->gids = std::move(by_row);
+  return st;
 }
 
 Status ResolverClient::Resolve(Gid gid, Response* resp) {

@@ -45,6 +45,8 @@ class ResolverClient {
   // (reusing the calling thread's trace_id when one is installed, minting a
   // fresh one otherwise) — the daemon scopes its work under the same ids, so
   // DCER_TRACE_FILE yields one stitched Chrome trace per request.
+  /// Append returns resp->gids in the order of `rows` (resp->gids[k] holds
+  /// rows[k]), undoing the relation grouping of the wire order.
   Status Append(const Dataset& schema_source,
                 const std::vector<std::pair<uint32_t, Row>>& rows,
                 Response* resp);

@@ -41,7 +41,8 @@ namespace service {
 ///   METRICS   (empty; v3+)
 ///
 ///   APPENDED  varint snapshot_version, varint n, first gid varint then
-///             zigzag deltas (batch order)
+///             zigzag deltas (wire order: block by block, rows in block
+///             order — ResolverClient::Append maps them back to row order)
 ///   ENTITY    varint snapshot_version, varint n, first gid varint then
 ///             zigzag deltas (sorted members)
 ///   BOOL      varint snapshot_version, one byte 0/1
@@ -101,9 +102,10 @@ inline wire::WireError DecodeResponse(const std::vector<uint8_t>& bytes,
   return DecodeResponse(bytes.data(), bytes.size(), out);
 }
 
-/// Builds an APPEND request from materialized rows: groups rows by
-/// destination relation, stages each group in a scratch relation sharing
-/// `schema_source`'s column layout, and encodes one tuple block per group.
+/// Builds an APPEND request from materialized rows: groups rows stably by
+/// destination relation (blocks in ascending relation index), stages each
+/// group in a scratch relation sharing `schema_source`'s column layout, and
+/// encodes one tuple block per group.
 /// The staged gids are placeholders — the server assigns authoritative gids
 /// on ingest and returns them in the APPENDED reply.
 Request MakeAppendRequest(

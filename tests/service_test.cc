@@ -407,6 +407,32 @@ TEST(DaemonTest, ServesQueriesWhileAppendsStream) {
   fx.daemon->Stop();
 }
 
+TEST(DaemonTest, AppendReturnsGidsInRowOrderForMixedRelationBatch) {
+  DaemonFixture fx(80, 24);
+  ResolverClient client;
+  ASSERT_TRUE(client.Connect(fx.daemon->port()).ok());
+  // Relations cycling downward, against the wire's ascending grouping.
+  const Dataset& source = fx.gd->dataset;
+  const size_t num_rel = source.num_relations();
+  ASSERT_GT(num_rel, 1u);
+  std::vector<std::pair<uint32_t, Row>> rows;
+  for (size_t i = 0; i < 3 * num_rel; ++i) {
+    const size_t rel = num_rel - 1 - i % num_rel;
+    rows.push_back({static_cast<uint32_t>(rel),
+                    source.relation(rel).row(i / num_rel)});
+  }
+  Response resp;
+  ASSERT_TRUE(
+      client.Append(fx.daemon->resolver().dataset(), rows, &resp).ok());
+  ASSERT_EQ(resp.gids.size(), rows.size());
+  fx.daemon->Stop();  // joins the daemon's threads before reading its data
+  const Dataset& served = fx.daemon->resolver().dataset();
+  for (size_t k = 0; k < rows.size(); ++k) {
+    EXPECT_EQ(served.relation_of(resp.gids[k]), rows[k].first) << "row " << k;
+    EXPECT_TRUE(served.tuple(resp.gids[k]) == rows[k].second) << "row " << k;
+  }
+}
+
 TEST(DaemonTest, ForeignVersionFrameGetsTypedErrorAndConnectionSurvives) {
   DaemonFixture fx(40, 8);
   ResolverClient client;
