@@ -666,16 +666,13 @@ RoutingNumbers MeasureRouting() {
   return out;
 }
 
-// Class-merge-heavy workload for the propagation policy: chains first build
+// Class-merge-heavy workload for equivalence propagation: chains first build
 // blocks of 16 equivalent tuples, then tournament rounds merge ever-larger
-// blocks — exactly the regime where the |Ca| × |Cb| cross product explodes
-// and the |Ca| + |Cb| spanning pairs stay linear.
+// blocks — the regime where a |Ca| × |Cb| cross product would explode and
+// the |Ca| + |Cb| spanning pairs stay linear.
 struct SpanningNumbers {
-  uint64_t spanning_messages = 0;
-  uint64_t crossproduct_messages = 0;
-  uint64_t spanning_bytes = 0;
-  uint64_t crossproduct_bytes = 0;
-  bool eid_equal = false;
+  uint64_t messages = 0;
+  uint64_t bytes = 0;
 };
 
 SpanningNumbers MeasureSpanning() {
@@ -693,37 +690,13 @@ SpanningNumbers MeasureSpanning() {
     }
   }
 
-  // Class labels normalized to each class's smallest member, so the two
-  // modes' union-finds compare representation-independently.
-  auto canon = [](const UnionFind& uf, uint32_t n) {
-    std::vector<uint32_t> rep(n);
-    std::unordered_map<uint32_t, uint32_t> min_of;
-    for (uint32_t g = 0; g < n; ++g) min_of.emplace(uf.Find(g), g);
-    for (uint32_t g = 0; g < n; ++g) rep[g] = min_of[uf.Find(g)];
-    return rep;
-  };
-
+  Master master(&hosts, kWorkers, kTuples);
+  master.Collect(0, facts);
+  std::vector<std::vector<Fact>> inboxes;
+  master.Dispatch(&inboxes);
   SpanningNumbers out;
-  std::vector<uint32_t> eid_spanning;
-  std::vector<uint32_t> eid_cross;
-  for (bool spanning : {true, false}) {
-    Master::Options mo;
-    mo.spanning_pairs = spanning;
-    Master master(&hosts, kWorkers, kTuples, mo);
-    master.Collect(0, facts);
-    std::vector<std::vector<Fact>> inboxes;
-    master.Dispatch(&inboxes);
-    if (spanning) {
-      out.spanning_messages = master.messages_routed();
-      out.spanning_bytes = master.bytes_routed();
-      eid_spanning = canon(master.global_eid(), kTuples);
-    } else {
-      out.crossproduct_messages = master.messages_routed();
-      out.crossproduct_bytes = master.bytes_routed();
-      eid_cross = canon(master.global_eid(), kTuples);
-    }
-  }
-  out.eid_equal = eid_spanning == eid_cross;
+  out.messages = master.messages_routed();
+  out.bytes = master.bytes_routed();
   return out;
 }
 
@@ -752,8 +725,7 @@ struct IncCascadeRun {
   std::vector<std::pair<Gid, Gid>> pairs;  // Γ's id half, for identity checks
 };
 
-IncCascadeRun RunIncCascade(int levels, size_t leaf_limit, bool inc_parallel,
-                            int threads) {
+IncCascadeRun RunIncCascade(int levels, size_t leaf_limit, int threads) {
   IncCascadeRun out;
   for (int rep = 0; rep < 3; ++rep) {
     // Fresh workload per rep: the protocol consumes the engine (H and Γ are
@@ -765,7 +737,6 @@ IncCascadeRun RunIncCascade(int levels, size_t leaf_limit, bool inc_parallel,
     EngineOptions eo;
     eo.dependency_capacity = 0;
     eo.threads = threads;
-    eo.inc_parallel = inc_parallel;
     ChaseEngine::Options o =
         ChaseEngine::FromEngineOptions(eo, &ThreadPool::Global());
     ChaseEngine engine(&view, &w->up_rules, &w->registry, &ctx, o);
@@ -1265,47 +1236,14 @@ void WriteBenchCoreJson() {
       seq_ctx->MatchedPairs() == pooled_ctx->MatchedPairs() &&
       seq_ctx->ValidatedMlKeys() == pooled_ctx->ValidatedMlKeys();
 
-  // Propagation policy and transport, at the DMatch level: the spanning-pair
-  // run, the cross-product ablation, and a loopback-TCP run must all yield
-  // the same Γ; the message/byte totals quantify what the policy saves on
-  // this workload.
-  auto run_mode = [&](bool spanning, TransportKind kind,
-                      DMatchReport* report) {
-    gd->registry.ClearCache();
-    gd->registry.ResetStats();
-    auto ctx = std::make_unique<MatchContext>(gd->dataset);
-    DMatchOptions o;
-    o.num_workers = 4;
-    o.run_parallel = false;
-    o.spanning_pairs = spanning;
-    o.transport = kind;
-    *report = engine::DMatch(gd->dataset, gd->rules, gd->registry, o, ctx.get());
-    return ctx;
-  };
-  DMatchReport span_report;
-  DMatchReport cross_report;
-  DMatchReport tcp_report;
-  auto span_ctx = run_mode(true, TransportKind::kInProcess, &span_report);
-  auto cross_ctx = run_mode(false, TransportKind::kInProcess, &cross_report);
-  auto tcp_ctx = run_mode(true, TransportKind::kLoopbackTcp, &tcp_report);
-  const bool gamma_equal =
-      span_ctx->MatchedPairs() == cross_ctx->MatchedPairs() &&
-      span_ctx->ValidatedMlKeys() == cross_ctx->ValidatedMlKeys();
-  const bool tcp_pairs_equal =
-      span_ctx->MatchedPairs() == tcp_ctx->MatchedPairs() &&
-      span_ctx->ValidatedMlKeys() == tcp_ctx->ValidatedMlKeys();
-
   RoutingNumbers routing = MeasureRouting();
   SpanningNumbers spanning = MeasureSpanning();
 
   // Delta-driven pass: |Δ|-scaling on the tournament cascade (full vs half
-  // leaf set), the sequential-ablation identity, and the update stream.
-  IncCascadeRun inc_full = RunIncCascade(10, size_t(-1), /*inc_parallel=*/true,
-                                         /*threads=*/2);
-  IncCascadeRun inc_half = RunIncCascade(10, 512, /*inc_parallel=*/true,
-                                         /*threads=*/2);
-  IncCascadeRun inc_seq = RunIncCascade(10, size_t(-1), /*inc_parallel=*/false,
-                                        /*threads=*/1);
+  // leaf set), the single-threaded identity, and the update stream.
+  IncCascadeRun inc_full = RunIncCascade(10, size_t(-1), /*threads=*/2);
+  IncCascadeRun inc_half = RunIncCascade(10, 512, /*threads=*/2);
+  IncCascadeRun inc_seq = RunIncCascade(10, size_t(-1), /*threads=*/1);
   const bool inc_pairs_equal = inc_full.pairs == inc_seq.pairs;
   UpdateStreamNumbers stream = MeasureUpdateStream();
   ServiceNumbers service = MeasureService();
@@ -1394,7 +1332,6 @@ void WriteBenchCoreJson() {
   w.KV("dmatch_outbox_messages", pooled_report.outbox_messages);
   w.KV("dmatch_outbox_bytes", pooled_report.outbox_bytes);
   w.KV("dmatch_route_seconds", pooled_report.route_seconds);
-  w.KV("transport", pooled_report.transport);
   // Router alone on the exchange-heavy synthetic workload: serial vs pooled
   // wall clock, plus the shard-time speedup (sum/max over destination
   // shards) that models one core per shard — the honest number on hosts
@@ -1422,19 +1359,13 @@ void WriteBenchCoreJson() {
   w.KV("route_messages", routing.messages);
   w.KV("route_bytes", routing.bytes);
   w.KV("route_inboxes_equal", routing.inboxes_equal);
-  // Propagation policy: master-level message/byte volume on the
-  // class-merge-heavy tournament workload, and Γ identity of the two
-  // policies (and the TCP transport) at the DMatch level.
-  w.KV("route_messages_spanning", spanning.spanning_messages);
-  w.KV("route_messages_crossproduct", spanning.crossproduct_messages);
-  w.KV("route_bytes_spanning", spanning.spanning_bytes);
-  w.KV("route_bytes_crossproduct", spanning.crossproduct_bytes);
-  w.KV("route_eid_equal", spanning.eid_equal);
-  w.KV("dmatch_messages_spanning", span_report.messages);
-  w.KV("dmatch_messages_crossproduct", cross_report.messages);
-  w.KV("route_gamma_equal", gamma_equal);
-  w.KV("tcp_transport", tcp_report.transport);
-  w.KV("tcp_pairs_equal", tcp_pairs_equal);
+  // Equivalence propagation: master-level message/byte volume of the
+  // spanning pairs on the class-merge-heavy tournament workload, and the
+  // DMatch-level message count (deterministic across execution modes, so
+  // the pooled run's).
+  w.KV("route_messages_spanning", spanning.messages);
+  w.KV("route_bytes_spanning", spanning.bytes);
+  w.KV("dmatch_messages_spanning", pooled_report.messages);
   // Delta-driven incremental pass (the batched semi-naive IncDeduce).
   // Tournament cascade, cap=0 protocol: per-leaf time at |Δ| = 1024 vs 512
   // leaves is the |Δ|-scaling evidence bench/check_regression gates on.
@@ -1463,8 +1394,8 @@ void WriteBenchCoreJson() {
   // proportional to the dataset rather than the delta.
   w.KV("inc_delta_scaling_ratio",
        inc_half_per_leaf > 0 ? inc_full_per_leaf / inc_half_per_leaf : 0.0);
-  // The inc_parallel=false ablation (per-item sequential loop) on the same
-  // full-|Δ| cascade; Γ must be bit-identical.
+  // The threads=1 run (no pool: the per-task loop on every round) on the
+  // same full-|Δ| cascade; Γ must be bit-identical.
   w.KV("inc_seq_seconds", inc_seq.seconds);
   w.KV("inc_seq_seeded_joins", inc_seq.seeded_joins);
   w.KV("inc_pairs_equal", inc_pairs_equal);
@@ -1480,7 +1411,7 @@ void WriteBenchCoreJson() {
   w.KV("inc_speedup_simulated", inc_speedup_simulated);
   if (inc_full.seconds >= inc_seq.seconds && hw < 4) {
     w.KV("inc_speedup_warning",
-         "batched pooled IncDeduce did not beat the sequential ablation on "
+         "batched pooled IncDeduce did not beat the single-threaded run on "
          "this host: " + std::to_string(hw) +
              " hardware thread(s) cannot run the round's chunks in "
              "parallel, so the wall gap is oversubscription artifact; "
@@ -1653,15 +1584,9 @@ void WriteBenchCoreJson() {
               route_speedup_simulated, routing.inboxes_equal,
               static_cast<unsigned long long>(routing.messages),
               static_cast<unsigned long long>(routing.bytes));
-  std::printf("propagation: spanning=%llu msgs (%llu B) crossproduct=%llu "
-              "msgs (%llu B) eid_equal=%d gamma_equal=%d\n",
-              static_cast<unsigned long long>(spanning.spanning_messages),
-              static_cast<unsigned long long>(spanning.spanning_bytes),
-              static_cast<unsigned long long>(spanning.crossproduct_messages),
-              static_cast<unsigned long long>(spanning.crossproduct_bytes),
-              spanning.eid_equal, gamma_equal);
-  std::printf("transport: dmatch over %s, pairs_equal=%d\n",
-              tcp_report.transport, tcp_pairs_equal);
+  std::printf("propagation: spanning=%llu msgs (%llu B)\n",
+              static_cast<unsigned long long>(spanning.messages),
+              static_cast<unsigned long long>(spanning.bytes));
   std::printf("inc cascade: full(%zu leaves)=%.4fs half(%zu)=%.4fs "
               "per-leaf ratio=%.2f seeded=%llu rounds=%llu "
               "simulated_speedup=%.2fx pairs_equal(par,seq)=%d\n",

@@ -15,9 +15,7 @@ ChaseEngine::Options ChaseEngine::FromEngineOptions(const EngineOptions& eo,
   Options o;
   o.dependency_capacity = eo.dependency_capacity;
   o.share_indices = eo.use_mqo;
-  o.inc_parallel = eo.inc_parallel;
   o.ml_index = eo.ml_index;
-  o.ml_index_approx = eo.ml_index_approx;
   o.ml_profiles = eo.ml_profiles;
   if (eo.threads > 1 && pool != nullptr) {
     o.pool = pool;
@@ -64,7 +62,6 @@ ChaseEngine::ChaseEngine(
       options_(options),
       deps_(options.dependency_capacity) {
   ml_policy_.enabled = options_.ml_index;
-  ml_policy_.allow_approx = options_.ml_index_approx;
   if (ml_policy_.enabled) {
     ml_policy_.derivable = std::make_shared<const std::unordered_set<uint64_t>>(
         DerivableMlKeys(*rules_));
@@ -550,13 +547,12 @@ void ChaseEngine::ExecuteIncRoundTasks(Delta* round_out) {
   if (inc_tasks_.empty()) return;
 
   const bool pooled =
-      options_.inc_parallel && options_.pool != nullptr &&
-      options_.enumeration_shards > 1 &&
+      options_.pool != nullptr && options_.enumeration_shards > 1 &&
       inc_tasks_.size() >= options_.min_parallel_inc_tasks;
   if (!pooled) {
     // Per-task enumeration with immediate application, in the same
-    // (rule, scope, item-order) the merge below replays. Serves both the
-    // inc_parallel=false ablation and rounds too small to be worth forking.
+    // (rule, scope, item-order) the merge below replays. Serves engines
+    // without a pool and rounds too small to be worth forking.
     Timer round_timer;
     for (const IncTask& t : inc_tasks_) {
       RuleJoiner* joiner = scopes_[t.rule][t.scope].joiner.get();

@@ -48,9 +48,6 @@ class ChaseEngine {
     /// facts no rule derives are pruned (see DerivableMlKeys), so results
     /// are bit-identical to the unindexed chase.
     bool ml_index = true;
-    /// Additionally allow approximate (LSH) indices for classifiers without
-    /// a sound filter (embedding cosine). May lose recall; off by default.
-    bool ml_index_approx = false;
     /// Precomputed string profiles + batch similarity kernels
     /// (EngineOptions::ml_profiles). Bit-identical results either way.
     bool ml_profiles = true;
@@ -58,12 +55,11 @@ class ChaseEngine {
     /// and rules, shared read-only instead of building one per engine.
     /// engine::DMatch builds one per run and hands it to every worker.
     std::shared_ptr<ProfileStore> profiles;
-    /// Batched semi-naive IncDeduce (see EngineOptions::inc_parallel): each
-    /// round's re-joins are recorded against a frozen snapshot and merged in
-    /// (rule, scope, item-order); rounds with at least
-    /// `min_parallel_inc_tasks` re-joins fan the recording out on `pool`.
-    /// false = the per-item sequential loop (ablation); identical results.
-    bool inc_parallel = true;
+    /// Batched semi-naive IncDeduce: with `pool`, rounds with at least
+    /// `min_parallel_inc_tasks` re-joins are recorded against a frozen
+    /// snapshot on the pool and merged in (rule, scope, item-order); smaller
+    /// rounds (and every round without a pool) run the per-task loop in the
+    /// same order. Identical results either way.
     size_t min_parallel_inc_tasks = 32;
   };
 
@@ -204,9 +200,9 @@ class ChaseEngine {
   // orientation matching).
   void BuildIncRoundTasks();
   // Runs inc_tasks_ (grouped by (rule, scope)) and appends everything newly
-  // derived to *round_out. inc_parallel: record on the pool against the
+  // derived to *round_out. Pooled rounds record on the pool against the
   // frozen context, then merge sequentially re-checking recorded unsat
-  // entries; ablation: enumerate each task inline with immediate
+  // entries; other rounds enumerate each task inline with immediate
   // application. Both orders are (rule, scope, item-order), so results and
   // stats are identical (see DESIGN.md "Delta-driven fixpoint").
   void ExecuteIncRoundTasks(Delta* round_out);

@@ -73,9 +73,6 @@ void RuleJoiner::ConfigureMlIndex(MlIndexPolicy policy) {
       CandidateIndexKind kind =
           registry_->classifier(p.ml_id).candidate_index_kind();
       if (kind == CandidateIndexKind::kNone) continue;
-      if (kind == CandidateIndexKind::kApprox && !ml_policy_.allow_approx) {
-        continue;
-      }
       if (ml_policy_.derivable != nullptr) {
         uint64_t lhs_sig =
             MlSideSignature(rule_->var_relation(p.lhs.var), p.lhs_ml_attrs);

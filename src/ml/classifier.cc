@@ -54,19 +54,6 @@ double EmbeddingCosineClassifier::Score(const std::vector<Value>& a,
   return c < 0 ? 0 : c;
 }
 
-CandidateIndexKind EmbeddingCosineClassifier::candidate_index_kind() const {
-  return IndexableThreshold(threshold()) ? CandidateIndexKind::kApprox
-                                         : CandidateIndexKind::kNone;
-}
-
-std::unique_ptr<MlCandidateIndex> EmbeddingCosineClassifier::BuildCandidateIndex(
-    const std::vector<uint32_t>& rows, const RowValuesFn& fill,
-    const ProfileSource* profiles) const {
-  (void)profiles;  // LSH re-embeds; profiles carry no embedding state
-  if (candidate_index_kind() == CandidateIndexKind::kNone) return nullptr;
-  return std::make_unique<CosineLshIndex>(threshold(), dim_, rows, fill);
-}
-
 TokenJaccardClassifier::TokenJaccardClassifier(std::string name,
                                                double threshold)
     : MlClassifier(std::move(name), threshold) {}

@@ -57,9 +57,9 @@ class MlClassifier {
   /// MlRegistry::ClearCache so benchmark repetitions start cold.
   virtual void ClearMemo() const {}
 
-  /// Whether (and how soundly) this classifier can act as a candidate
-  /// generator instead of a pairwise post-filter. kNone (the default) keeps
-  /// the full-scan join behaviour.
+  /// Whether this classifier can act as a sound candidate generator
+  /// instead of a pairwise post-filter. kNone (the default) keeps the
+  /// full-scan join behaviour.
   virtual CandidateIndexKind candidate_index_kind() const {
     return CandidateIndexKind::kNone;
   }
@@ -100,13 +100,6 @@ class EmbeddingCosineClassifier : public MlClassifier {
   double Score(const std::vector<Value>& a,
                const std::vector<Value>& b) const override;
   void ClearMemo() const override;
-
-  /// LSH banding loses recall, so the cosine index is approximate-only and
-  /// gated behind MatchOptions::ml_index_approx.
-  CandidateIndexKind candidate_index_kind() const override;
-  std::unique_ptr<MlCandidateIndex> BuildCandidateIndex(
-      const std::vector<uint32_t>& rows, const RowValuesFn& fill,
-      const ProfileSource* profiles = nullptr) const override;
 
  private:
   const Embedding& CachedEmbed(std::string text) const;

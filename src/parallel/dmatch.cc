@@ -10,7 +10,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "parallel/master.h"
-#include "parallel/transport.h"
 #include "parallel/wire.h"
 #include "parallel/worker.h"
 
@@ -77,7 +76,6 @@ void DMatchReport::ExtraJson(JsonWriter* w) const {
   w->KV("bytes", bytes);
   w->KV("outbox_messages", outbox_messages);
   w->KV("outbox_bytes", outbox_bytes);
-  w->KV("transport", transport);
   w->KV("partition_seconds", partition_seconds);
   w->KV("er_seconds", er_seconds);
   w->KV("teardown_seconds", teardown_seconds);
@@ -143,12 +141,8 @@ DMatchReport engine::DMatch(const Dataset& dataset, const RuleSet& rules,
         std::move(partition.rule_views[w]), &rules, &registry,
         engine_options));
   }
-  std::unique_ptr<Transport> transport =
-      Transport::Create(options.transport, options.num_workers);
   Master::Options master_options;
-  master_options.spanning_pairs = options.spanning_pairs;
   master_options.pool = options.run_parallel ? &pool : nullptr;
-  master_options.transport = transport.get();
   auto master_owner = std::make_unique<Master>(
       &partition.hosts, options.num_workers, dataset.num_tuples(),
       master_options);
@@ -184,8 +178,8 @@ DMatchReport engine::DMatch(const Dataset& dataset, const RuleSet& rules,
     return slowest;
   };
 
-  // Collects every worker's outbox through the wire: encode, send the
-  // batch over the transport, and let the master receive + decode it.
+  // Collects every worker's outbox through the wire: encode each batch and
+  // hand the bytes to the master, which decodes them.
   // The collect-side wire volume is charged to the superstep whose stats
   // entry is current (the step that produced the outboxes).
   auto exchange_outboxes = [&] {
@@ -195,8 +189,7 @@ DMatchReport engine::DMatch(const Dataset& dataset, const RuleSet& rules,
       std::vector<Fact> out = w->TakeOutbox();
       std::vector<uint8_t> bytes;
       if (!out.empty()) wire::EncodeFactBatch(out, &bytes);
-      transport->SendToMaster(w->id(), std::move(bytes));
-      master.CollectFromWorker(w->id());
+      master.CollectFromWorker(w->id(), bytes);
     }
     SuperstepStats& ss = report.superstep_stats.back();
     ss.outbox_messages = master.outbox_messages() - msgs_before;
@@ -231,9 +224,6 @@ DMatchReport engine::DMatch(const Dataset& dataset, const RuleSet& rules,
   report.outbox_bytes = master.outbox_bytes();
   report.route_seconds = master.route_seconds();
   report.route_simulated_seconds = master.route_shard_max_seconds();
-  report.transport = transport->kind() == TransportKind::kLoopbackTcp
-                         ? "loopback_tcp"
-                         : "in_process";
 
   // Step 3: tear the BSP state down inside the timed call.
   Timer teardown_timer;
@@ -241,7 +231,6 @@ DMatchReport engine::DMatch(const Dataset& dataset, const RuleSet& rules,
     DCER_TRACE("dmatch.teardown");
     DestroyWorkers(&workers, options.run_parallel, &pool);
     master_owner.reset();
-    transport.reset();
     partition = Partition();
     engine_options.profiles.reset();
   }

@@ -4,7 +4,6 @@
 
 #include "common/thread_pool.h"
 #include "common/timer.h"
-#include "parallel/transport.h"
 #include "parallel/wire.h"
 
 namespace dcer {
@@ -37,38 +36,25 @@ void Master::Collect(int from, std::vector<Fact> facts) {
       continue;
     }
     if (eid_.Same(f.a, f.b)) continue;
-    if (options_.spanning_pairs) {
-      // Route the |Ca| + |Cb| - 1 spanning pairs (x, new-root): every
-      // worker hosting a member x learns x ~ root, and its local
-      // union-find recovers exactly the pairs it can ever need (any
-      // valuation over (x, y) lives where both are hosted — that worker
-      // receives both spanning pairs).
-      std::vector<uint32_t> members = eid_.ClassMembers(f.a);
-      {
-        std::vector<uint32_t> cb = eid_.ClassMembers(f.b);
-        members.insert(members.end(), cb.begin(), cb.end());
-      }
-      eid_.Union(f.a, f.b);
-      const uint32_t root = eid_.Find(f.a);
-      for (uint32_t x : members) {
-        if (x != root) items.push_back(Fact::IdMatch(x, root));
-      }
-    } else {
-      // Seed-compat cross-product expansion: every newly-equivalent
-      // concrete pair, |Ca| × |Cb| route items per merge.
-      std::vector<uint32_t> ca = eid_.ClassMembers(f.a);
+    // Route the |Ca| + |Cb| - 1 spanning pairs (x, new-root): every worker
+    // hosting a member x learns x ~ root, and its local union-find recovers
+    // exactly the pairs it can ever need (any valuation over (x, y) lives
+    // where both are hosted — that worker receives both spanning pairs).
+    std::vector<uint32_t> members = eid_.ClassMembers(f.a);
+    {
       std::vector<uint32_t> cb = eid_.ClassMembers(f.b);
-      eid_.Union(f.a, f.b);
-      for (uint32_t x : ca) {
-        for (uint32_t y : cb) items.push_back(Fact::IdMatch(x, y));
-      }
+      members.insert(members.end(), cb.begin(), cb.end());
+    }
+    eid_.Union(f.a, f.b);
+    const uint32_t root = eid_.Find(f.a);
+    for (uint32_t x : members) {
+      if (x != root) items.push_back(Fact::IdMatch(x, root));
     }
   }
   outbox_messages_ += facts.size();
 }
 
-void Master::CollectFromWorker(int from) {
-  std::vector<uint8_t> bytes = options_.transport->ReceiveFromWorker(from);
+void Master::CollectFromWorker(int from, const std::vector<uint8_t>& bytes) {
   outbox_bytes_ += bytes.size();
   std::vector<Fact> facts;
   if (!bytes.empty()) wire::DecodeFactBatch(bytes, &facts);
@@ -155,10 +141,9 @@ bool Master::Dispatch(std::vector<std::vector<Fact>>* inboxes) {
     for (int d = 0; d < num_workers_; ++d) merge_one(d);
   }
 
-  // Phase C — delivery (serial, worker order): push each encoded batch
-  // through the transport if one is attached, decode it into the worker's
-  // inbox, and account the serialized size. The decode side is the batch a
-  // real channel delivered, not the merge shard's vector.
+  // Phase C — delivery (serial, worker order): decode each encoded batch
+  // into the worker's inbox and account the serialized size. The inbox is
+  // what the codec decoded, not the merge shard's vector.
   last_dispatch_messages_ = 0;
   last_dispatch_bytes_ = 0;
   bool any = false;
@@ -166,14 +151,7 @@ bool Master::Dispatch(std::vector<std::vector<Fact>>* inboxes) {
     if (encoded[d].empty()) continue;
     last_dispatch_bytes_ += encoded[d].size();
     last_dispatch_messages_ += shard_messages[d];
-    std::vector<uint8_t> bytes;
-    if (options_.transport != nullptr) {
-      options_.transport->SendToWorker(d, std::move(encoded[d]));
-      bytes = options_.transport->ReceiveAtWorker(d);
-    } else {
-      bytes = std::move(encoded[d]);
-    }
-    wire::DecodeFactBatch(bytes, &(*inboxes)[d]);
+    wire::DecodeFactBatch(encoded[d], &(*inboxes)[d]);
     if (!(*inboxes)[d].empty()) any = true;
   }
   messages_routed_ += last_dispatch_messages_;

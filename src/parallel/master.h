@@ -11,7 +11,6 @@
 namespace dcer {
 
 class ThreadPool;
-class Transport;
 
 /// The coordinator P_0 of the fixpoint model (Sec. III-B): collects the new
 /// matches each worker deduced in a superstep and routes them to the workers
@@ -25,36 +24,25 @@ class Transport;
 /// spanning pairs through its own union-find (MatchContext::Apply expands
 /// class merges locally), and Lemma 6 guarantees any valuation needing a
 /// concrete pair (x, y) lives on a worker hosting both x and y, which
-/// receives both spanning pairs. Γ is bit-identical to cross-product
-/// routing; tests assert it.
+/// receives both spanning pairs.
 ///
 /// Dispatch is the parallel section: route items are partitioned by
 /// destination worker and merged per destination on the thread pool —
 /// sources in worker order, duplicate delivery suppressed by one
 /// `seen` shard per destination (no global set, no cross-shard writes).
 /// Each destination's batch is then serialized by the wire codec
-/// (`parallel/wire.h`), optionally pushed through the Transport, and
-/// decoded into the worker inbox, so every reported byte is a byte a real
-/// channel would carry.
+/// (`parallel/wire.h`) and decoded into the worker inbox, so every reported
+/// byte is a byte a real channel would carry.
 class Master {
  public:
   struct Options {
-    /// Route spanning pairs (x, new-root) on class merges. false restores
-    /// the seed cross-product expansion — an ablation/reference mode kept
-    /// for Γ-equivalence tests and message-volume comparisons.
-    bool spanning_pairs = true;
     /// Runs Dispatch's partition and per-destination merge/encode as pool
     /// tasks. nullptr routes serially; delivered facts are identical.
     ThreadPool* pool = nullptr;
-    /// Byte plane for encoded batches (see Transport). nullptr keeps the
-    /// encode → decode pair in-place; the codec still runs either way, so
-    /// byte accounting does not depend on the transport.
-    Transport* transport = nullptr;
   };
 
   /// `hosts` maps gid -> sorted worker ids hosting that tuple (from HyPart).
-  /// The three-argument form uses default Options (spanning pairs, serial
-  /// routing, no transport).
+  /// The three-argument form uses default Options (serial routing).
   Master(const std::vector<std::vector<uint32_t>>* hosts, int num_workers,
          size_t num_tuples);
   Master(const std::vector<std::vector<uint32_t>>* hosts, int num_workers,
@@ -65,10 +53,10 @@ class Master {
   /// class size on merges).
   void Collect(int from, std::vector<Fact> facts);
 
-  /// Receives worker `from`'s encoded outbox batch from the transport,
-  /// decodes it and Collects it, charging the batch to the collect-side
-  /// wire accounting. Requires Options::transport.
-  void CollectFromWorker(int from);
+  /// Decodes worker `from`'s encoded outbox batch (`bytes`, empty for an
+  /// empty outbox) and Collects it, charging the batch to the collect-side
+  /// wire accounting.
+  void CollectFromWorker(int from, const std::vector<uint8_t>& bytes);
 
   /// Routes everything queued since the last Dispatch into per-worker
   /// inboxes (resized to num_workers). Returns true if any inbox is

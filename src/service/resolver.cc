@@ -32,7 +32,6 @@ DMatchOptions ToDMatchOptions(const ResolverOptions& options) {
   dmo.num_workers = options.num_workers;
   dmo.use_virtual_blocks = options.use_virtual_blocks;
   dmo.run_parallel = options.run_parallel;
-  dmo.spanning_pairs = options.spanning_pairs;
   return dmo;
 }
 

@@ -13,7 +13,7 @@ namespace dcer {
 
 /// Knobs of an open resolver. The EngineOptions base carries everything the
 /// chase itself understands (dependency capacity, MQO, intra-chase threads,
-/// ML indices, incremental batching, transport); the fields here select the
+/// ML indices, string profiles); the fields here select the
 /// execution strategy around it. With `num_workers == 0` the initial
 /// fixpoint runs the sequential chase in-process; with `num_workers > 0` it
 /// runs the BSP DMatch (HyPart partitioning, supersteps, master routing) and
@@ -24,7 +24,6 @@ struct ResolverOptions : EngineOptions {
   /// DMatch passthroughs (ignored when num_workers == 0); see DMatchOptions.
   bool use_virtual_blocks = true;
   bool run_parallel = true;
-  bool spanning_pairs = true;
   /// Record rule/fact provenance in the match context (sequential opens).
   bool enable_provenance = false;
 };

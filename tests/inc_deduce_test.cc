@@ -1,11 +1,14 @@
 // Delta-driven IncDeduce (the batched semi-naive pass): Γ must be
 // bit-identical to the full chase fixpoint and invariant under every
-// execution knob — inc_parallel on/off, threads 1/4, dependency capacity
-// 0/partial/default, and (at the DMatch level) both transports.
+// execution path — the per-task loop (threads 1), pooled rounds above the
+// size threshold (threads 4), record-then-merge on every round (threads 4,
+// threshold 1), dependency capacity 0/partial/default, and (at the DMatch
+// level) run_parallel × threads.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -32,6 +35,21 @@ struct ProtocolResult {
   uint64_t matches = 0;
 };
 
+// One IncDeduce execution path. threads 1 has no pool, so every round runs
+// the per-task loop; threads 4 records rounds of at least
+// min_parallel_inc_tasks re-joins on the pool (0 keeps the engine default);
+// a threshold of 1 sends every round through record-then-merge.
+struct ExecConfig {
+  int threads;
+  size_t min_parallel_inc_tasks;
+};
+constexpr ExecConfig kExecConfigs[] = {{1, 0}, {4, 0}, {4, 1}};
+
+std::string Describe(const ExecConfig& c) {
+  return "threads=" + std::to_string(c.threads) +
+         " min_parallel_inc_tasks=" + std::to_string(c.min_parallel_inc_tasks);
+}
+
 // The cap protocol at the engine level: full Deduce over the up rule alone
 // (finds nothing — every valuation needs child matches), then the given leaf
 // matches arrive as external facts and IncDeduce cascades. With capacity 0
@@ -40,15 +58,17 @@ struct ProtocolResult {
 // no-drop fast path answers from the dependency store.
 ProtocolResult RunProtocol(TournamentWorkload& w,
                            const std::vector<Fact>& leaf_facts,
-                           size_t capacity, bool inc_parallel, int threads) {
+                           size_t capacity, const ExecConfig& exec) {
   DatasetView view = DatasetView::Full(w.dataset);
   MatchContext ctx(w.dataset);
   EngineOptions eo;
   eo.dependency_capacity = capacity;
-  eo.threads = threads;
-  eo.inc_parallel = inc_parallel;
+  eo.threads = exec.threads;
   ChaseEngine::Options o =
       ChaseEngine::FromEngineOptions(eo, &ThreadPool::Global());
+  if (exec.min_parallel_inc_tasks > 0) {
+    o.min_parallel_inc_tasks = exec.min_parallel_inc_tasks;
+  }
   ChaseEngine engine(&view, &w.up_rules, &w.registry, &ctx, o);
   Delta d0;
   engine.Deduce(&d0);
@@ -110,23 +130,18 @@ TEST_P(IncDeduceTournamentTest, RecoveryMatchesFullChaseFixpoint) {
   for (size_t cap : {size_t{0}, size_t{8}, size_t{1} << 20}) {
     ProtocolResult ref;
     bool have_ref = false;
-    for (bool inc_parallel : {false, true}) {
-      for (int threads : {1, 4}) {
-        ProtocolResult r =
-            RunProtocol(*w, leaves, cap, inc_parallel, threads);
-        std::string what = "cap=" + std::to_string(cap) +
-                           " inc_parallel=" + std::to_string(inc_parallel) +
-                           " threads=" + std::to_string(threads);
-        EXPECT_EQ(r.pairs, expected_pairs) << what;
-        EXPECT_EQ(r.ml_keys, expected_ml) << what;
-        // Every counter is deterministic across the ablation and any
-        // thread count for a fixed capacity.
-        if (!have_ref) {
-          ref = r;
-          have_ref = true;
-        } else {
-          ExpectSameStats(ref, r, what.c_str());
-        }
+    for (const ExecConfig& exec : kExecConfigs) {
+      ProtocolResult r = RunProtocol(*w, leaves, cap, exec);
+      std::string what = "cap=" + std::to_string(cap) + " " + Describe(exec);
+      EXPECT_EQ(r.pairs, expected_pairs) << what;
+      EXPECT_EQ(r.ml_keys, expected_ml) << what;
+      // Every counter is deterministic across the execution paths for a
+      // fixed capacity.
+      if (!have_ref) {
+        ref = r;
+        have_ref = true;
+      } else {
+        ExpectSameStats(ref, r, what.c_str());
       }
     }
   }
@@ -149,20 +164,14 @@ TEST(IncDeduceTest, RandomLeafSubsetsAgreeAcrossConfigs) {
       if (rng.Uniform(10) < 6) leaves.push_back(Fact::IdMatch(a, b));
     }
     ProtocolResult ref =
-        RunProtocol(*w, leaves, size_t{1} << 20, /*inc_parallel=*/false,
-                    /*threads=*/1);
+        RunProtocol(*w, leaves, size_t{1} << 20, kExecConfigs[0]);
     for (size_t cap : {size_t{0}, size_t{4}}) {
-      for (bool inc_parallel : {false, true}) {
-        for (int threads : {1, 4}) {
-          ProtocolResult r =
-              RunProtocol(*w, leaves, cap, inc_parallel, threads);
-          std::string what =
-              "trial=" + std::to_string(trial) + " cap=" +
-              std::to_string(cap) + " inc_parallel=" +
-              std::to_string(inc_parallel) + " threads=" +
-              std::to_string(threads);
-          ExpectSameResult(ref, r, what.c_str());
-        }
+      for (const ExecConfig& exec : kExecConfigs) {
+        ProtocolResult r = RunProtocol(*w, leaves, cap, exec);
+        std::string what = "trial=" + std::to_string(trial) +
+                           " cap=" + std::to_string(cap) + " " +
+                           Describe(exec);
+        ExpectSameResult(ref, r, what.c_str());
       }
     }
   }
@@ -175,7 +184,7 @@ TEST(IncDeduceTest, NoDropFastPathSkipsSeededJoins) {
   auto w = MakeTournament(5, /*with_ml=*/false);
   ASSERT_NE(w, nullptr);
   ProtocolResult r = RunProtocol(*w, TournamentLeafFacts(*w), size_t{1} << 20,
-                                 /*inc_parallel=*/true, /*threads=*/1);
+                                 kExecConfigs[0]);
   EXPECT_EQ(r.seeded_joins, 0u);
   EXPECT_EQ(r.inc_rounds, 0u);
   EXPECT_EQ(r.inc_frontier_items, 0u);
@@ -185,8 +194,9 @@ TEST(IncDeduceTest, NoDropFastPathSkipsSeededJoins) {
 
 TEST(IncDeduceTest, DMatchTransportsAndAblationAgree) {
   // The BSP path with capacity 0: every incremental superstep runs the
-  // seeded recovery. Both transports, the sequential ablation, and the
-  // pooled executor must all reproduce the sequential Match fixpoint.
+  // seeded recovery. The sequential ablation and the pooled executor, with
+  // one or two threads per worker, must all reproduce the sequential Match
+  // fixpoint.
   auto w = MakeTournament(5, /*with_ml=*/false);
   ASSERT_NE(w, nullptr);
   std::vector<std::pair<Gid, Gid>> expected;
@@ -196,34 +206,20 @@ TEST(IncDeduceTest, DMatchTransportsAndAblationAgree) {
     engine::Match(view, w->rules, w->registry, {}, &ctx);
     expected = ctx.MatchedPairs();
   }
-  struct Config {
-    bool inc_parallel;
-    TransportKind transport;
-    bool run_parallel;
-    int threads;
-  };
-  const Config configs[] = {
-      {true, TransportKind::kInProcess, false, 1},
-      {false, TransportKind::kInProcess, false, 1},
-      {true, TransportKind::kLoopbackTcp, false, 1},
-      {false, TransportKind::kLoopbackTcp, false, 1},
-      {true, TransportKind::kInProcess, true, 2},
-  };
-  for (const Config& c : configs) {
-    DMatchOptions o;
-    o.num_workers = 4;
-    o.dependency_capacity = 0;
-    o.inc_parallel = c.inc_parallel;
-    o.transport = c.transport;
-    o.run_parallel = c.run_parallel;
-    o.threads = c.threads;
-    MatchContext ctx(w->dataset);
-    DMatchReport r = engine::DMatch(w->dataset, w->rules, w->registry, o, &ctx);
-    EXPECT_EQ(ctx.MatchedPairs(), expected)
-        << "inc_parallel=" << c.inc_parallel
-        << " transport=" << static_cast<int>(c.transport)
-        << " run_parallel=" << c.run_parallel;
-    EXPECT_GT(r.chase.seeded_joins, 0u);
+  for (bool run_parallel : {false, true}) {
+    for (int threads : {1, 2}) {
+      DMatchOptions o;
+      o.num_workers = 4;
+      o.dependency_capacity = 0;
+      o.run_parallel = run_parallel;
+      o.threads = threads;
+      MatchContext ctx(w->dataset);
+      DMatchReport r =
+          engine::DMatch(w->dataset, w->rules, w->registry, o, &ctx);
+      EXPECT_EQ(ctx.MatchedPairs(), expected)
+          << "run_parallel=" << run_parallel << " threads=" << threads;
+      EXPECT_GT(r.chase.seeded_joins, 0u);
+    }
   }
 }
 
@@ -244,18 +240,21 @@ TEST(IncDeduceTest, EcommerceDMatchCap0AgreesWithMatch) {
     expected_ml = ctx.ValidatedMlKeys();
     ASSERT_FALSE(expected.empty());
   }
-  for (bool inc_parallel : {false, true}) {
-    gd->registry.ClearCache();
-    DMatchOptions o;
-    o.num_workers = 4;
-    o.dependency_capacity = 0;
-    o.inc_parallel = inc_parallel;
-    MatchContext ctx(gd->dataset);
-    engine::DMatch(gd->dataset, gd->rules, gd->registry, o, &ctx);
-    EXPECT_EQ(ctx.MatchedPairs(), expected)
-        << "inc_parallel=" << inc_parallel;
-    EXPECT_EQ(ctx.ValidatedMlKeys(), expected_ml)
-        << "inc_parallel=" << inc_parallel;
+  for (bool run_parallel : {false, true}) {
+    for (int threads : {1, 2}) {
+      gd->registry.ClearCache();
+      DMatchOptions o;
+      o.num_workers = 4;
+      o.dependency_capacity = 0;
+      o.run_parallel = run_parallel;
+      o.threads = threads;
+      MatchContext ctx(gd->dataset);
+      engine::DMatch(gd->dataset, gd->rules, gd->registry, o, &ctx);
+      EXPECT_EQ(ctx.MatchedPairs(), expected)
+          << "run_parallel=" << run_parallel << " threads=" << threads;
+      EXPECT_EQ(ctx.ValidatedMlKeys(), expected_ml)
+          << "run_parallel=" << run_parallel << " threads=" << threads;
+    }
   }
 }
 

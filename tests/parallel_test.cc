@@ -318,125 +318,73 @@ TEST(DMatchTest, ReportAccountsForWorkAndCommunication) {
 }
 
 // ---------------------------------------------------------------------------
-// Equivalence propagation policy and transport.
+// Equivalence propagation and wire accounting.
 
-// Spanning-pair routing must reproduce the seed cross-product routing's Γ
-// exactly, for every worker count, while never routing more facts.
-TEST(DMatchTest, SpanningPairsMatchCrossProductGamma) {
-  auto ex = MakePaperExample();
-  for (int workers : {1, 2, 4}) {
-    DMatchOptions spanning;
-    spanning.num_workers = workers;
-    spanning.spanning_pairs = true;
-    MatchContext ctx_spanning(ex->dataset);
-    DMatchReport r_spanning = engine::DMatch(ex->dataset, ex->rules, ex->registry,
-                                     spanning, &ctx_spanning);
-
-    DMatchOptions cross = spanning;
-    cross.spanning_pairs = false;
-    MatchContext ctx_cross(ex->dataset);
-    DMatchReport r_cross =
-        engine::DMatch(ex->dataset, ex->rules, ex->registry, cross, &ctx_cross);
-
-    EXPECT_EQ(ctx_spanning.MatchedPairs(), ctx_cross.MatchedPairs())
-        << "workers=" << workers;
-    EXPECT_EQ(ctx_spanning.ValidatedMlKeys(), ctx_cross.ValidatedMlKeys())
-        << "workers=" << workers;
-    EXPECT_LE(r_spanning.messages, r_cross.messages)
-        << "workers=" << workers;
-  }
-}
-
-// On a workload that merges large classes, spanning pairs route strictly
-// fewer facts than the cross product — the O(n) vs O(n^2) claim, at the
-// master level where it is exactly countable.
+// A merge of classes Ca and Cb routes |Ca| + |Cb| - 1 spanning pairs
+// (x, new-root), not the |Ca| x |Cb| cross product. Counted exactly at the
+// master on a 32 + 32 merge.
 TEST(MasterTest, SpanningPairsRouteLinearlyOnClassMerges) {
   constexpr int kWorkers = 2;
   constexpr uint32_t kTuples = 64;
   std::vector<std::vector<uint32_t>> hosts(kTuples);
   for (uint32_t g = 0; g < kTuples; ++g) hosts[g] = {g % kWorkers};
-  // Two classes of 32 built by chains, then one merge of the two.
-  std::vector<Fact> facts;
-  for (uint32_t g = 0; g + 1 < kTuples; ++g) {
-    if (g != kTuples / 2 - 1) facts.push_back(Fact::IdMatch(g, g + 1));
-  }
-  facts.push_back(Fact::IdMatch(0, kTuples / 2));
+  Master master(&hosts, kWorkers, kTuples);
+  std::vector<std::vector<Fact>> inboxes;
 
-  uint64_t messages[2];
-  for (bool spanning_pairs : {true, false}) {
-    Master::Options mo;
-    mo.spanning_pairs = spanning_pairs;
-    Master master(&hosts, kWorkers, kTuples, mo);
-    master.Collect(0, facts);
-    std::vector<std::vector<Fact>> inboxes;
-    master.Dispatch(&inboxes);
-    messages[spanning_pairs ? 0 : 1] = master.messages_routed();
-    // Both modes must leave every tuple in one global class.
-    EXPECT_TRUE(master.global_eid().Same(0, kTuples - 1));
+  // Two classes of 32 built by chains: Ca = {0..31} rooted at 0 and
+  // Cb = {32..63} rooted at 32 (union by size keeps the first root).
+  std::vector<Fact> chains;
+  for (uint32_t g = 0; g + 1 < kTuples; ++g) {
+    if (g != kTuples / 2 - 1) chains.push_back(Fact::IdMatch(g, g + 1));
   }
-  EXPECT_LT(messages[0], messages[1]);
-  // The final 32 x 32 merge alone routes 1024 cross-product facts but only
-  // 63 spanning facts.
-  EXPECT_GE(messages[1], 1024u);
+  master.Collect(0, chains);
+  master.Dispatch(&inboxes);
+
+  // The merge makes 0 the root and emits the 63 spanning pairs (x, 0).
+  // The 31 pairs of Ca's members were delivered when Ca formed, so only the
+  // 32 pairs (x, 0) with x in Cb are new. Worker 0 hosts the root and gets
+  // all of them except (32, 0), which it sent itself; worker 1 hosts the
+  // 16 odd members of Cb. The cross product would route 32 x 32 = 1024.
+  master.Collect(0, {Fact::IdMatch(0, kTuples / 2)});
+  EXPECT_TRUE(master.Dispatch(&inboxes));
+  EXPECT_EQ(inboxes[0].size(), 31u);
+  EXPECT_EQ(inboxes[1].size(), 16u);
+  EXPECT_EQ(master.last_dispatch_messages(), 47u);
+  EXPECT_TRUE(master.global_eid().Same(0, kTuples - 1));
 }
 
 // Non-timing report fields are deterministic: same workload, same worker
-// count => identical message/byte accounting, across repeated runs, the
-// run_parallel toggle, and the loopback-TCP transport.
+// count => identical message/byte accounting, across repeated runs and the
+// run_parallel toggle.
 TEST(DMatchTest, WireAccountingDeterministicAcrossExecutionModes) {
   auto ex = MakePaperExample();
-  auto run = [&](bool run_parallel, TransportKind kind) {
+  auto run = [&](bool run_parallel) {
     DMatchOptions options;
     options.num_workers = 4;
     options.run_parallel = run_parallel;
-    options.transport = kind;
     MatchContext ctx(ex->dataset);
     return engine::DMatch(ex->dataset, ex->rules, ex->registry, options, &ctx);
   };
-  DMatchReport reference = run(true, TransportKind::kInProcess);
+  DMatchReport reference = run(true);
   for (int rep = 0; rep < 2; ++rep) {
     for (bool run_parallel : {false, true}) {
-      for (TransportKind kind :
-           {TransportKind::kInProcess, TransportKind::kLoopbackTcp}) {
-        DMatchReport r = run(run_parallel, kind);
-        EXPECT_EQ(r.supersteps, reference.supersteps);
-        EXPECT_EQ(r.messages, reference.messages);
-        EXPECT_EQ(r.bytes, reference.bytes);
-        EXPECT_EQ(r.outbox_messages, reference.outbox_messages);
-        EXPECT_EQ(r.outbox_bytes, reference.outbox_bytes);
-        ASSERT_EQ(r.superstep_stats.size(), reference.superstep_stats.size());
-        for (size_t i = 0; i < r.superstep_stats.size(); ++i) {
-          EXPECT_EQ(r.superstep_stats[i].messages,
-                    reference.superstep_stats[i].messages);
-          EXPECT_EQ(r.superstep_stats[i].bytes,
-                    reference.superstep_stats[i].bytes);
-          EXPECT_EQ(r.superstep_stats[i].outbox_bytes,
-                    reference.superstep_stats[i].outbox_bytes);
-        }
+      DMatchReport r = run(run_parallel);
+      EXPECT_EQ(r.supersteps, reference.supersteps);
+      EXPECT_EQ(r.messages, reference.messages);
+      EXPECT_EQ(r.bytes, reference.bytes);
+      EXPECT_EQ(r.outbox_messages, reference.outbox_messages);
+      EXPECT_EQ(r.outbox_bytes, reference.outbox_bytes);
+      ASSERT_EQ(r.superstep_stats.size(), reference.superstep_stats.size());
+      for (size_t i = 0; i < r.superstep_stats.size(); ++i) {
+        EXPECT_EQ(r.superstep_stats[i].messages,
+                  reference.superstep_stats[i].messages);
+        EXPECT_EQ(r.superstep_stats[i].bytes,
+                  reference.superstep_stats[i].bytes);
+        EXPECT_EQ(r.superstep_stats[i].outbox_bytes,
+                  reference.superstep_stats[i].outbox_bytes);
       }
     }
   }
-}
-
-// The loopback-TCP transport must carry the full fixpoint to the same Γ as
-// the in-process mailboxes (or cleanly fall back to them).
-TEST(DMatchTest, LoopbackTcpTransportPreservesResult) {
-  auto ex = MakePaperExample();
-  DMatchOptions in_process;
-  in_process.num_workers = 4;
-  MatchContext c1(ex->dataset);
-  engine::DMatch(ex->dataset, ex->rules, ex->registry, in_process, &c1);
-
-  DMatchOptions tcp = in_process;
-  tcp.transport = TransportKind::kLoopbackTcp;
-  MatchContext c2(ex->dataset);
-  DMatchReport r2 = engine::DMatch(ex->dataset, ex->rules, ex->registry, tcp, &c2);
-  EXPECT_EQ(c1.MatchedPairs(), c2.MatchedPairs());
-  EXPECT_EQ(c1.ValidatedMlKeys(), c2.ValidatedMlKeys());
-  // Either the sockets worked or Create fell back; both are valid, and the
-  // report says which happened.
-  EXPECT_TRUE(std::string(r2.transport) == "loopback_tcp" ||
-              std::string(r2.transport) == "in_process");
 }
 
 }  // namespace

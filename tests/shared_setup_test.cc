@@ -75,7 +75,6 @@ void ExpectSameProfile(const ProfileStore& a, const ProfileStore& b,
   ASSERT_NE(pb, nullptr);
   EXPECT_EQ(pa->byte_len, pb->byte_len);
   EXPECT_EQ(pa->gram_total, pb->gram_total);
-  EXPECT_EQ(pa->simhash, pb->simhash);
   ASSERT_EQ(pa->gram_count, pb->gram_count);
   for (uint32_t i = 0; i < pa->gram_count; ++i) {
     EXPECT_EQ(a.gram_hashes(*pa)[i], b.gram_hashes(*pb)[i]);

@@ -323,7 +323,6 @@ void ExpectStoresIdentical(const ProfileStore& a, const ProfileStore& b) {
     EXPECT_EQ(pa->gram_count, pb->gram_count) << "id " << id;
     EXPECT_EQ(pa->byte_len, pb->byte_len) << "id " << id;
     EXPECT_EQ(pa->gram_total, pb->gram_total) << "id " << id;
-    EXPECT_EQ(pa->simhash, pb->simhash) << "id " << id;
     for (uint32_t i = 0; i < pa->tok_count; ++i) {
       EXPECT_EQ(a.tokens(*pa)[i], b.tokens(*pb)[i]) << "id " << id;
     }
