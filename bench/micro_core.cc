@@ -9,13 +9,23 @@
 // prediction cache's hit latency, per-kernel similarity latencies, and an
 // ML-predicate-dominated Match workload with candidate indices off vs on —
 // and writes them to BENCH_core.json in the working directory.
+//
+// `micro_core --check <BENCH_core.json>` is the regression check: it skips
+// the microbenchmarks, runs the same measurement pass, and compares the
+// fresh document against the committed baseline through one gate table
+// (ctest entry bench_check_regression). One line per gate; exit 1 if and
+// only if any gate failed.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -852,7 +862,7 @@ UpdateStreamNumbers MeasureUpdateStream() {
 // RESOLVE/SAME point queries between batches (and a pure query burst at the
 // end). served_query_p50/p99 are client-observed round-trip latencies;
 // update_visibility_lag is the daemon-measured arrival→snapshot-publish lag
-// per append request. Both feed bench/check_regression gates.
+// per append request. Both are --check gates.
 struct ServiceNumbers {
   bool ok = false;
   uint64_t appends = 0;
@@ -1216,7 +1226,10 @@ ColumnarNumbers MeasureColumnar() {
   return out;
 }
 
-void WriteBenchCoreJson() {
+// Runs every executor-level measurement, prints a summary, and returns the
+// BENCH_core.json document. The only producer of its keys: the write mode
+// stores the document, --check compares it against a committed baseline.
+std::string MeasureBenchCore() {
   EcommerceOptions options;
   options.num_customers = 800;
   auto gd = MakeEcommerce(options);
@@ -1289,19 +1302,9 @@ void WriteBenchCoreJson() {
              "so the gap is scheduling overhead (oversubscription artifact), "
              "not a regression");
   }
-  // Same workload timed at the pre-thread-pool commit, measured out-of-band
-  // (a checkout of the previous HEAD can't run inside this binary). Lets the
-  // JSON carry the cross-commit speedup this PR claims.
-  if (const char* env = std::getenv("DCER_SEED_SEQ_SECONDS")) {
-    double seed_seq = std::atof(env);
-    if (seed_seq > 0) {
-      w.KV("seed_seq_wall_seconds", seed_seq);
-      w.KV("speedup_vs_seed", pooled > 0 ? seed_seq / pooled : 0.0);
-    }
-  }
   // Per-phase BSP times of the best pooled run: the partial evaluation
-  // (superstep 0) and the incremental supersteps, regression-checked
-  // independently by bench/check_regression.
+  // (superstep 0) and the incremental supersteps, gated independently by
+  // --check.
   if (!pooled_report.superstep_stats.empty()) {
     w.KV("dmatch_partial_eval_seconds",
          pooled_report.superstep_stats[0].max_seconds);
@@ -1325,8 +1328,7 @@ void WriteBenchCoreJson() {
     w.EndArray();
   }
   // Wire volume of the best pooled run — serialized bytes straight from the
-  // codec (the regression gate in bench/check_regression keys on
-  // dmatch_wire_bytes).
+  // codec (--check gates dmatch_wire_bytes and each superstep's bytes).
   w.KV("dmatch_wire_messages", pooled_report.messages);
   w.KV("dmatch_wire_bytes", pooled_report.bytes);
   w.KV("dmatch_outbox_messages", pooled_report.outbox_messages);
@@ -1368,7 +1370,7 @@ void WriteBenchCoreJson() {
   w.KV("dmatch_messages_spanning", pooled_report.messages);
   // Delta-driven incremental pass (the batched semi-naive IncDeduce).
   // Tournament cascade, cap=0 protocol: per-leaf time at |Δ| = 1024 vs 512
-  // leaves is the |Δ|-scaling evidence bench/check_regression gates on.
+  // leaves is the |Δ|-scaling evidence --check gates on.
   w.KV("inc_workload",
        "tournament levels=10, dependency_capacity=0, up-rule protocol "
        "(leaf matches as external facts)");
@@ -1443,7 +1445,7 @@ void WriteBenchCoreJson() {
   w.KV("update_stream_matched_pairs", stream.matched_pairs);
   w.KV("update_stream_equals_scratch", stream.equals_scratch);
   // dcerd online service: client-observed query latency percentiles and the
-  // daemon's append-arrival→snapshot-publish lag, gated by check_regression
+  // daemon's append-arrival→snapshot-publish lag, gated by --check
   // (served_query_p99, update_visibility_lag).
   w.KV("service_workload",
        "dcerd over loopback TCP: ecommerce num_customers=400, last 64 "
@@ -1534,13 +1536,6 @@ void WriteBenchCoreJson() {
   w.KV("profiled_strings", columnar.profiled_strings);
   w.EndObject();
 
-  FILE* f = std::fopen("BENCH_core.json", "w");
-  if (f == nullptr) {
-    std::printf("cannot write BENCH_core.json\n");
-    return;
-  }
-  std::fprintf(f, "%s\n", w.str().c_str());
-  std::fclose(f);
   std::printf("obs overhead (interleaved): metrics_on=%.4fs "
               "metrics_off=%.4fs ratio=%.3f (raw %.3f)\n",
               obs_overhead.on_seconds, obs_overhead.off_seconds,
@@ -1629,16 +1624,292 @@ void WriteBenchCoreJson() {
               static_cast<unsigned long long>(columnar.intern_requested_bytes),
               columnar.intern_footprint_ratio,
               static_cast<unsigned long long>(columnar.profiled_strings));
+  return w.str();
+}
+
+int WriteBenchCoreJson() {
+  const std::string doc = MeasureBenchCore();
+  FILE* f = std::fopen("BENCH_core.json", "w");
+  if (f == nullptr) {
+    std::printf("cannot write BENCH_core.json\n");
+    return 1;
+  }
+  std::fprintf(f, "%s\n", doc.c_str());
+  std::fclose(f);
+  return 0;
+}
+
+// --- --check: regression gates over a committed baseline ------------------
+
+// A JSON document flattened to its numeric leaves, keyed by path ("key",
+// "a.b", "a[0].b"). Booleans read as 1/0; strings and nulls are dropped.
+using FlatJson = std::map<std::string, double>;
+
+// Recursive-descent reader for the documents MeasureBenchCore writes.
+class JsonFlattener {
+ public:
+  explicit JsonFlattener(const std::string& text) : s_(text) {}
+
+  bool Parse(FlatJson* out) {
+    out_ = out;
+    if (!Value("")) return false;
+    SkipSpace();
+    return pos_ == s_.size();
+  }
+
+ private:
+  void SkipSpace() {
+    while (pos_ < s_.size() &&
+           std::isspace(static_cast<unsigned char>(s_[pos_]))) {
+      ++pos_;
+    }
+  }
+
+  bool Eat(char c) {
+    SkipSpace();
+    if (pos_ >= s_.size() || s_[pos_] != c) return false;
+    ++pos_;
+    return true;
+  }
+
+  bool Literal(std::string_view word) {
+    if (s_.compare(pos_, word.size(), word) != 0) return false;
+    pos_ += word.size();
+    return true;
+  }
+
+  // Escaped characters are kept verbatim: keys never need unescaping and
+  // string values are dropped.
+  bool String(std::string* out) {
+    if (!Eat('"')) return false;
+    while (pos_ < s_.size() && s_[pos_] != '"') {
+      if (s_[pos_] == '\\') ++pos_;
+      if (pos_ < s_.size()) out->push_back(s_[pos_++]);
+    }
+    return Eat('"');
+  }
+
+  bool Value(const std::string& path) {
+    if (Eat('{')) {
+      if (Eat('}')) return true;
+      do {
+        std::string key;
+        if (!String(&key) || !Eat(':')) return false;
+        if (!Value(path.empty() ? key : path + "." + key)) return false;
+      } while (Eat(','));
+      return Eat('}');
+    }
+    if (Eat('[')) {
+      if (Eat(']')) return true;
+      size_t i = 0;
+      do {
+        if (!Value(path + "[" + std::to_string(i++) + "]")) return false;
+      } while (Eat(','));
+      return Eat(']');
+    }
+    if (pos_ < s_.size() && s_[pos_] == '"') {
+      std::string ignored;
+      return String(&ignored);
+    }
+    if (Literal("null")) return true;
+    if (Literal("true")) return Set(path, 1);
+    if (Literal("false")) return Set(path, 0);
+    const char* begin = s_.c_str() + pos_;
+    char* end = nullptr;
+    const double v = std::strtod(begin, &end);
+    if (end == begin) return false;
+    pos_ += static_cast<size_t>(end - begin);
+    return Set(path, v);
+  }
+
+  bool Set(const std::string& path, double v) {
+    (*out_)[path] = v;
+    return true;
+  }
+
+  const std::string& s_;
+  size_t pos_ = 0;
+  FlatJson* out_ = nullptr;
+};
+
+// One regression gate over a BENCH_core.json key. `floor` is an absolute
+// noise floor in the key's unit: a smaller fresh − base delta never fails.
+// A `timed` key may also pass when its slowdown tracks the sequential
+// DMatch wall (host noise). Deterministic counts have neither.
+struct Gate {
+  std::string key;
+  double floor;
+  bool timed;
+};
+
+constexpr double kTolerance = 0.25;  // allowed growth over the baseline
+constexpr double kPhaseFloorSeconds = 0.010;
+
+std::vector<Gate> GateTable(const FlatJson& fresh, const FlatJson& base) {
+  std::vector<Gate> gates = {
+      {"dmatch_pooled_wall_seconds", 0, true},
+      {"dmatch_partial_eval_seconds", kPhaseFloorSeconds, true},
+      {"dmatch_superstep_seconds", kPhaseFloorSeconds, true},
+      {"dmatch_wire_bytes", 0, false},
+      {"inc_full_seconds", kPhaseFloorSeconds, true},
+      {"index_build_columnar_seconds", kPhaseFloorSeconds, true},
+      {"intern_arena_bytes", 0, false},
+      {"profiled_strings", 0, false},
+      {"token_jaccard_batch_ns", 50, true},  // timer + cache jitter per pair
+      {"ml_probe_batch_ns", 50, true},
+      {"served_query_p99", 0.002, true},  // scheduler jitter on RTTs
+      {"update_visibility_lag", kPhaseFloorSeconds, true},
+  };
+  // Per superstep: a shift of volume between steps can hide in a flat total.
+  for (size_t i = 0;; ++i) {
+    std::string key = "dmatch_supersteps[" + std::to_string(i) + "].bytes";
+    if (!fresh.count(key) || !base.count(key)) break;
+    gates.push_back({std::move(key), 0, false});
+  }
+  return gates;
+}
+
+// Pass when fresh/base ≤ 1 + tolerance, when fresh − base is below the
+// floor, or (timed keys) when the ratio over the host factor — the fresh
+// over the baseline sequential DMatch wall — is within tolerance.
+bool CheckGate(const Gate& g, const FlatJson& fresh, const FlatJson& base,
+               double host_factor) {
+  const auto f = fresh.find(g.key);
+  const auto b = base.find(g.key);
+  if (f == fresh.end()) {
+    std::printf("FAIL %s: not measured\n", g.key.c_str());
+    return false;
+  }
+  if (b == base.end() || b->second <= 0) {
+    std::printf("PASS %s: fresh=%.6g, no positive baseline\n", g.key.c_str(),
+                f->second);
+    return true;
+  }
+  const double ratio = f->second / b->second;
+  const double normalized = host_factor > 0 ? ratio / host_factor : 0;
+  char why[96] = "";
+  bool pass = ratio <= 1 + kTolerance;
+  if (!pass && f->second - b->second < g.floor) {
+    pass = true;
+    std::snprintf(why, sizeof(why), " (delta %.6g below floor %.6g)",
+                  f->second - b->second, g.floor);
+  }
+  if (!pass && g.timed && normalized > 0 && normalized <= 1 + kTolerance) {
+    pass = true;
+    std::snprintf(why, sizeof(why),
+                  " (host-normalized %.3f, host factor %.3f)", normalized,
+                  host_factor);
+  }
+  std::printf("%s %s: fresh=%.6g base=%.6g ratio=%.3f%s\n",
+              pass ? "PASS" : "FAIL", g.key.c_str(), f->second, b->second,
+              ratio, why);
+  return pass;
+}
+
+double Get(const FlatJson& m, const char* key) {
+  const auto it = m.find(key);
+  return it == m.end() ? 0 : it->second;
+}
+
+// |Δ|-scaling keeps its own rule: the full/half per-leaf cost ratio passes
+// near 1 (≤ 1 + tolerance), when no worse than the baseline's ratio, or
+// when the whole full-|Δ| cascade ran under the phase floor.
+bool CheckDeltaScaling(const FlatJson& fresh, const FlatJson& base) {
+  const double r = Get(fresh, "inc_delta_scaling_ratio");
+  const double b = Get(base, "inc_delta_scaling_ratio");
+  const double full = Get(fresh, "inc_full_seconds");
+  if (Get(base, "inc_full_seconds") <= 0) {
+    std::printf("PASS inc_delta_scaling_ratio: fresh=%.6g, no baseline\n", r);
+    return true;
+  }
+  const bool pass = (r > 0 && r <= 1 + kTolerance) ||
+                    (b > 0 && r > 0 && r / b <= 1 + kTolerance) ||
+                    full < kPhaseFloorSeconds;
+  std::printf("%s inc_delta_scaling_ratio: fresh=%.6g base=%.6g "
+              "(inc_full_seconds %.6g, floor %.6g)\n",
+              pass ? "PASS" : "FAIL", r, b, full, kPhaseFloorSeconds);
+  return pass;
+}
+
+// Bit-identity checks recorded beside the numbers; each must hold.
+constexpr const char* kEqualityFlags[] = {
+    "pairs_equal",
+    "inc_pairs_equal",
+    "batch_scores_equal",
+    "route_inboxes_equal",
+    "ml_workload_pairs_equal",
+    "index_build_entries_equal",
+    "update_stream_equals_scratch",
+    "service_ok",
+    "service_ack_implies_visible",
+};
+
+// Re-measures every key and evaluates every gate, one line each; exit 1 if
+// and only if any gate failed. A missing baseline file leaves only the
+// equality flags armed.
+int CheckBenchCore(const char* baseline_path) {
+  FlatJson base;
+  if (std::ifstream in(baseline_path); in) {
+    std::stringstream text;
+    text << in.rdbuf();
+    const std::string doc = text.str();
+    if (!JsonFlattener(doc).Parse(&base)) {
+      std::printf("FAIL: cannot parse baseline %s\n", baseline_path);
+      return 1;
+    }
+  } else {
+    std::printf("no baseline at %s: only the equality flags are checked\n",
+                baseline_path);
+  }
+  const std::string doc = MeasureBenchCore();
+  FlatJson fresh;
+  if (!JsonFlattener(doc).Parse(&fresh)) {
+    std::printf("FAIL: cannot parse the fresh measurement\n");
+    return 1;
+  }
+
+  const double base_seq = Get(base, "dmatch_seq_wall_seconds");
+  const double host_factor =
+      base_seq > 0 ? Get(fresh, "dmatch_seq_wall_seconds") / base_seq : 0;
+  std::printf("\ncheck against %s (tolerance %.0f%%, host factor %.3f)\n",
+              baseline_path, kTolerance * 100, host_factor);
+  size_t gates = 0;
+  size_t failed = 0;
+  auto tally = [&](bool pass) {
+    ++gates;
+    if (!pass) ++failed;
+  };
+  for (const Gate& g : GateTable(fresh, base)) {
+    tally(CheckGate(g, fresh, base, host_factor));
+  }
+  tally(CheckDeltaScaling(fresh, base));
+  for (const char* flag : kEqualityFlags) {
+    const auto it = fresh.find(flag);
+    const bool pass = it != fresh.end() && it->second == 1;
+    std::printf("%s %s\n", pass ? "PASS" : "FAIL", flag);
+    tally(pass);
+  }
+  std::printf("%s: %zu of %zu gates failed\n", failed > 0 ? "FAIL" : "PASS",
+              failed, gates);
+  return failed > 0 ? 1 : 0;
 }
 
 }  // namespace
 }  // namespace dcer
 
 int main(int argc, char** argv) {
+  // `micro_core --check <BENCH_core.json>` skips the microbenchmarks and
+  // gates a fresh measurement against that baseline instead of writing one.
+  if (argc > 1 && std::string_view(argv[1]) == "--check") {
+    if (argc != 3) {
+      std::printf("usage: micro_core --check <BENCH_core.json>\n");
+      return 1;
+    }
+    return dcer::CheckBenchCore(argv[2]);
+  }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  dcer::WriteBenchCoreJson();
-  return 0;
+  return dcer::WriteBenchCoreJson();
 }

@@ -1,10 +1,11 @@
 #ifndef DCER_BENCH_WORKLOADS_H_
 #define DCER_BENCH_WORKLOADS_H_
 
-// Synthetic chase workloads shared by micro_core, check_regression and the
-// incremental-path tests. Kept header-only so every consumer builds the
-// exact same dataset and rules — a regression gate comparing against a
-// committed baseline is only meaningful if the workload cannot drift.
+// Synthetic chase workloads shared by micro_core (whose --check mode gates
+// them against BENCH_core.json) and the incremental-path tests. Kept
+// header-only so every consumer builds the exact same dataset and rules — a
+// regression gate comparing against a committed baseline is only meaningful
+// if the workload cannot drift.
 
 #include <cstdio>
 #include <memory>

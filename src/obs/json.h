@@ -12,8 +12,8 @@ namespace dcer {
 /// that used to live in bench/micro_core and eval/runner. Handles commas,
 /// nesting and string escaping; the caller provides structure via
 /// BeginObject/Key/Value calls. Output is a single line (no pretty
-/// printing) — the readers in this repo (bench/check_regression's flat
-/// scanner, external jq/python) do not care.
+/// printing) — the readers in this repo (`micro_core --check`'s
+/// flattening reader, external jq/python) do not care.
 class JsonWriter {
  public:
   JsonWriter& BeginObject();

@@ -138,7 +138,7 @@ WireError ReadHeader(Reader* r, uint8_t* tag_out,
 /// raw tuples — cross worker boundaries (Sec. V-B), so one compact batch
 /// format covers all of DMatch's communication. Every byte count the system
 /// reports (`DMatchReport::bytes`, `SuperstepStats::bytes`, the
-/// `check_regression` wire gate) is the size of a batch produced by
+/// `micro_core --check` wire gates) is the size of a batch produced by
 /// EncodeFactBatch: the codec is the single unit of comm-volume accounting.
 ///
 /// Layout (all integers little-endian):

@@ -19,6 +19,7 @@
 #include "common/thread_pool.h"
 #include "datagen/ecommerce.h"
 #include "parallel/dmatch.h"
+#include "rules/parser.h"
 
 namespace dcer {
 namespace {
@@ -56,11 +57,12 @@ std::string Describe(const ExecConfig& c) {
 // nothing was recorded in H, so every internal valuation must be recovered
 // through seeded re-joins; with the default capacity H is complete and the
 // no-drop fast path answers from the dependency store.
-ProtocolResult RunProtocol(TournamentWorkload& w,
+ProtocolResult RunProtocol(const Dataset& dataset, const RuleSet& rules,
+                           const MlRegistry& registry,
                            const std::vector<Fact>& leaf_facts,
                            size_t capacity, const ExecConfig& exec) {
-  DatasetView view = DatasetView::Full(w.dataset);
-  MatchContext ctx(w.dataset);
+  DatasetView view = DatasetView::Full(dataset);
+  MatchContext ctx(dataset);
   EngineOptions eo;
   eo.dependency_capacity = capacity;
   eo.threads = exec.threads;
@@ -69,7 +71,7 @@ ProtocolResult RunProtocol(TournamentWorkload& w,
   if (exec.min_parallel_inc_tasks > 0) {
     o.min_parallel_inc_tasks = exec.min_parallel_inc_tasks;
   }
-  ChaseEngine engine(&view, &w.up_rules, &w.registry, &ctx, o);
+  ChaseEngine engine(&view, &rules, &registry, &ctx, o);
   Delta d0;
   engine.Deduce(&d0);
   Delta seeds;
@@ -89,6 +91,13 @@ ProtocolResult RunProtocol(TournamentWorkload& w,
   return r;
 }
 
+ProtocolResult RunProtocol(const TournamentWorkload& w,
+                           const std::vector<Fact>& leaf_facts,
+                           size_t capacity, const ExecConfig& exec) {
+  return RunProtocol(w.dataset, w.up_rules, w.registry, leaf_facts, capacity,
+                     exec);
+}
+
 void ExpectSameResult(const ProtocolResult& a, const ProtocolResult& b,
                       const char* what) {
   EXPECT_EQ(a.pairs, b.pairs) << what;
@@ -102,6 +111,23 @@ void ExpectSameStats(const ProtocolResult& a, const ProtocolResult& b,
   EXPECT_EQ(a.inc_frontier_items, b.inc_frontier_items) << what;
   EXPECT_EQ(a.inc_dedup_hits, b.inc_dedup_hits) << what;
   EXPECT_EQ(a.matches, b.matches) << what;
+}
+
+// The chase counters a DMatch run reports are part of the determinism
+// contract too: run_parallel × threads changes who enumerates, never what.
+// Γ alone is too forgiving here — a valuation lost in one pooled round is
+// re-derived from a sibling seed or by another worker, but it still leaves
+// the counters short.
+void ExpectSameChaseCounters(const ChaseStats& a, const ChaseStats& b,
+                             const std::string& what) {
+  EXPECT_EQ(a.valuations, b.valuations) << what;
+  EXPECT_EQ(a.join_candidates, b.join_candidates) << what;
+  EXPECT_EQ(a.matches, b.matches) << what;
+  EXPECT_EQ(a.deps_dropped, b.deps_dropped) << what;
+  EXPECT_EQ(a.seeded_joins, b.seeded_joins) << what;
+  EXPECT_EQ(a.inc_rounds, b.inc_rounds) << what;
+  EXPECT_EQ(a.inc_frontier_items, b.inc_frontier_items) << what;
+  EXPECT_EQ(a.inc_dedup_hits, b.inc_dedup_hits) << what;
 }
 
 class IncDeduceTournamentTest : public ::testing::TestWithParam<bool> {};
@@ -192,6 +218,67 @@ TEST(IncDeduceTest, NoDropFastPathSkipsSeededJoins) {
   EXPECT_EQ(r.pairs.size(), (1u << 6) - 1);
 }
 
+TEST(IncDeduceTest, MergeRecheckSeesFactsDerivedEarlierInTheRound) {
+  // One round both derives a fact and consumes it. The seed a1=b1 lets
+  // "chain" derive a2=b2, and "both" needs a1=b1 and a2=b2 to derive
+  // a3=b3. Round 1 re-joins both rules from a1=b1; chain's valuation is
+  // applied first (rule order), so when "both"'s valuation is applied its
+  // id predicate on (a2, b2) already holds. The per-task loop sees that at
+  // enumeration time; record-then-merge recorded the predicate as unsat
+  // against the frozen context and must drop it through the merge-time
+  // re-check. A stale entry would park a3=b3 in H (dropped at capacity 0)
+  // until a third round re-derives it.
+  Dataset dataset;
+  const size_t rel = dataset.AddRelation(
+      Schema("Node", {{"tag", ValueType::kString},
+                      {"key", ValueType::kString},
+                      {"nxt", ValueType::kString},
+                      {"l", ValueType::kString},
+                      {"r", ValueType::kString}}));
+  auto str = [](const char* s) {
+    return s == nullptr ? Value::Null() : Value(std::string(s));
+  };
+  auto add = [&](const char* tag, const char* key, const char* nxt,
+                 const char* l, const char* r) {
+    return dataset.AppendTuple(
+        rel, {str(tag), str(key), str(nxt), str(l), str(r)});
+  };
+  const Gid a1 = add("n1", "a1", "a2", nullptr, nullptr);
+  const Gid b1 = add("n1", "b1", "b2", nullptr, nullptr);
+  add("n2", "a2", nullptr, nullptr, nullptr);
+  add("n2", "b2", nullptr, nullptr, nullptr);
+  add("n3", "a3", nullptr, "a1", "a2");
+  add("n3", "b3", nullptr, "b1", "b2");
+  MlRegistry registry;
+  RuleSet rules;
+  ASSERT_TRUE(ParseRuleSet(
+                  "chain: Node(t) ^ Node(s) ^ Node(u) ^ Node(v) ^ "
+                  "t.tag = s.tag ^ t.nxt = u.key ^ s.nxt = v.key ^ "
+                  "t.id = s.id -> u.id = v.id\n"
+                  "both: Node(x) ^ Node(y) ^ Node(t) ^ Node(s) ^ Node(u) ^ "
+                  "Node(v) ^ x.tag = y.tag ^ x.l = t.key ^ y.l = s.key ^ "
+                  "x.r = u.key ^ y.r = v.key ^ t.id = s.id ^ u.id = v.id "
+                  "-> x.id = y.id\n",
+                  dataset, registry, &rules)
+                  .ok());
+
+  const std::vector<Fact> seeds = {Fact::IdMatch(a1, b1)};
+  ProtocolResult ref;
+  for (const ExecConfig& exec : kExecConfigs) {
+    ProtocolResult r = RunProtocol(dataset, rules, registry, seeds,
+                                   /*capacity=*/0, exec);
+    const std::string what = Describe(exec);
+    EXPECT_EQ(r.pairs.size(), 3u) << what;
+    // Round 1 derives a2=b2 and a3=b3; round 2 finds nothing new.
+    EXPECT_EQ(r.inc_rounds, 2u) << what;
+    if (&exec == &kExecConfigs[0]) {
+      ref = r;
+    } else {
+      ExpectSameStats(ref, r, what.c_str());
+    }
+  }
+}
+
 TEST(IncDeduceTest, DMatchTransportsAndAblationAgree) {
   // The BSP path with capacity 0: every incremental superstep runs the
   // seeded recovery. The sequential ablation and the pooled executor, with
@@ -206,6 +293,7 @@ TEST(IncDeduceTest, DMatchTransportsAndAblationAgree) {
     engine::Match(view, w->rules, w->registry, {}, &ctx);
     expected = ctx.MatchedPairs();
   }
+  ChaseStats ref;
   for (bool run_parallel : {false, true}) {
     for (int threads : {1, 2}) {
       DMatchOptions o;
@@ -216,9 +304,16 @@ TEST(IncDeduceTest, DMatchTransportsAndAblationAgree) {
       MatchContext ctx(w->dataset);
       DMatchReport r =
           engine::DMatch(w->dataset, w->rules, w->registry, o, &ctx);
-      EXPECT_EQ(ctx.MatchedPairs(), expected)
-          << "run_parallel=" << run_parallel << " threads=" << threads;
+      const std::string what = "run_parallel=" +
+                               std::to_string(run_parallel) +
+                               " threads=" + std::to_string(threads);
+      EXPECT_EQ(ctx.MatchedPairs(), expected) << what;
       EXPECT_GT(r.chase.seeded_joins, 0u);
+      if (!run_parallel && threads == 1) {
+        ref = r.chase;
+      } else {
+        ExpectSameChaseCounters(ref, r.chase, what);
+      }
     }
   }
 }
@@ -240,6 +335,7 @@ TEST(IncDeduceTest, EcommerceDMatchCap0AgreesWithMatch) {
     expected_ml = ctx.ValidatedMlKeys();
     ASSERT_FALSE(expected.empty());
   }
+  ChaseStats ref;
   for (bool run_parallel : {false, true}) {
     for (int threads : {1, 2}) {
       gd->registry.ClearCache();
@@ -249,11 +345,18 @@ TEST(IncDeduceTest, EcommerceDMatchCap0AgreesWithMatch) {
       o.run_parallel = run_parallel;
       o.threads = threads;
       MatchContext ctx(gd->dataset);
-      engine::DMatch(gd->dataset, gd->rules, gd->registry, o, &ctx);
-      EXPECT_EQ(ctx.MatchedPairs(), expected)
-          << "run_parallel=" << run_parallel << " threads=" << threads;
-      EXPECT_EQ(ctx.ValidatedMlKeys(), expected_ml)
-          << "run_parallel=" << run_parallel << " threads=" << threads;
+      DMatchReport r =
+          engine::DMatch(gd->dataset, gd->rules, gd->registry, o, &ctx);
+      const std::string what = "run_parallel=" +
+                               std::to_string(run_parallel) +
+                               " threads=" + std::to_string(threads);
+      EXPECT_EQ(ctx.MatchedPairs(), expected) << what;
+      EXPECT_EQ(ctx.ValidatedMlKeys(), expected_ml) << what;
+      if (!run_parallel && threads == 1) {
+        ref = r.chase;
+      } else {
+        ExpectSameChaseCounters(ref, r.chase, what);
+      }
     }
   }
 }
